@@ -177,14 +177,11 @@ def load_run_config(
             if key not in cfg:
                 raise ConfigError(f"missing required key {key!r}")
             axes[key] = _parse_axis(key, cfg.pop(key))
-        workers = _pop_int(cfg, "workers", 1)
-        if workers < 1:
-            raise ConfigError("key 'workers': must be >= 1")
         try:
             grid = limits.GridSpec.from_ranges(axes["p_t"], axes["p_l"], axes["p_s"])
         except ValueError as exc:
             raise ConfigError(f"keys p_t/p_l/p_s: {exc}") from None
-        rc.params = {"grid": grid, "workers": workers}
+        rc.params = {"grid": grid}
     elif command == "simulate":
         rc.params = {
             "rate_config": _rate_config_from(cfg, prefix=""),
@@ -202,27 +199,18 @@ def load_run_config(
 
 def _duration_from(cfg: dict[str, str], key: str, default: float | None = None) -> float:
     duration = _pop_float(cfg, key, default)
-    if not duration > 0:
-        raise ConfigError(f"key {key!r}: must be > 0")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigError(f"key {key!r}: must be finite and > 0")
     return duration
 
 
 def _rate_config_from(cfg: dict[str, str], prefix: str) -> photonics.RateConfig:
-    noise_key = prefix + "noise"
-    noise = cfg.pop(noise_key, "ground")
-    if noise == "ground":
-        pol = channel.EnvironmentSpec(0.0, basis=("H", "V"))
-    elif noise == "excited":
-        pol = channel.EnvironmentSpec(0.0, basis=("V", "H"))
-    else:
-        raise ConfigError(f"key {noise_key!r}: must be ground or excited")
     try:
         return photonics.RateConfig(
             rate_singlet=_pop_float(cfg, prefix + "rate_singlet"),
             rate_singles=_pop_float(cfg, prefix + "rate_singles"),
             rate_noise=_pop_float(cfg, prefix + "rate_noise"),
             tau=_pop_float(cfg, prefix + "tau"),
-            noise_polarization=pol,
         )
     except ValueError as exc:
         raise ConfigError(f"keys {prefix}rate_*/{prefix}tau: {exc}") from None
@@ -264,9 +252,7 @@ def _pipeline_params_from(cfg: dict[str, str]) -> dict[str, Any]:
     shots = _pop_int(cfg, "shots_per_setting", 100_000)
     if shots < 1:
         raise ConfigError("key 'shots_per_setting': must be >= 1")
-    default_duration = _pop_float(cfg, "duration", 0.0)
-    if default_duration < 0 or not math.isfinite(default_duration):
-        raise ConfigError("key 'duration': must be > 0")
+    default_duration = _duration_from(cfg, "duration") if "duration" in cfg else None
     scenarios = []
     k = 1
     while any(key.startswith(f"scenario{k}.") for key in cfg):
@@ -277,7 +263,7 @@ def _pipeline_params_from(cfg: dict[str, str]) -> dict[str, Any]:
             spec = channel.EnvironmentSpec(p_t)
         except ValueError as exc:
             raise ConfigError(f"key {prefix}p_t: {exc}") from None
-        duration = _duration_from(cfg, prefix + "duration", default_duration or None)
+        duration = _duration_from(cfg, prefix + "duration", default_duration)
         scenarios.append({"rate_config": rate_config, "spec": spec, "duration": duration})
         k += 1
     if not scenarios:
@@ -311,7 +297,7 @@ def write_rows(path: str, fmt: str, columns: tuple[str, ...], rows: list[dict]) 
 
 
 def run_limits(rc: RunConfig) -> int:
-    records = limits.sweep(rc.params["grid"], workers=rc.params["workers"])
+    records = limits.sweep(rc.params["grid"])
     rows = [
         {
             "p_T": r.p_t,
@@ -417,20 +403,12 @@ def run_pipeline(rc: RunConfig) -> int:
         config: photonics.RateConfig = scenario["rate_config"]
         spec: channel.EnvironmentSpec = scenario["spec"]
         duration = scenario["duration"]
-        ground_cfg = photonics.RateConfig(
-            config.rate_singlet, config.rate_singles, config.rate_noise, config.tau,
-            noise_polarization=channel.EnvironmentSpec(0.0, basis=("H", "V")),
-        )
-        excited_cfg = photonics.RateConfig(
-            config.rate_singlet, config.rate_singles, config.rate_noise, config.tau,
-            noise_polarization=channel.EnvironmentSpec(0.0, basis=("V", "H")),
-        )
         seq = np.random.SeedSequence(rc.seed, spawn_key=(idx,))
         seed_g, seed_e, seed_mix, seed_tomo = (
             int(s.generate_state(1, dtype=np.uint64)[0]) for s in seq.spawn(4)
         )
-        tally_g = photonics.simulate_streams(ground_cfg, duration, seed_g)
-        tally_e = photonics.simulate_streams(excited_cfg, duration, seed_e)
+        tally_g = photonics.simulate_streams(config, duration, seed_g)
+        tally_e = photonics.simulate_streams(config, duration, seed_e)
         if tally_g.n_triple == 0 or tally_e.n_triple == 0:
             raise RuntimeError(f"scenario {idx}: no heralded triples")
         mixed = photonics.mix_detections(tally_g, tally_e, spec.p_t, seed_mix)

@@ -12,7 +12,6 @@ grids of (p_T, P_L, P_S) points into flat records.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -242,20 +241,7 @@ def evaluate_point(p_t: float, p_l: float, p_s: float) -> SweepRecord:
     )
 
 
-def _evaluate_tuple(point: tuple[float, float, float]) -> SweepRecord:
-    return evaluate_point(*point)
-
-
-def sweep(grid: GridSpec, workers: int = 1) -> list[SweepRecord]:
-    """Evaluate every grid point; output order is lexicographic in
-    (P_L, p_T, P_S) regardless of the worker count."""
-    points = grid.points()
-    if not points:
-        return []
-    if workers <= 1:
-        records = [evaluate_point(*p) for p in points]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_evaluate_tuple, points, chunksize=64))
-    records.sort(key=lambda r: (r.p_l, r.p_t, r.p_s))
-    return records
+def sweep(grid: GridSpec) -> list[SweepRecord]:
+    """Evaluate every grid point, in the (P_L, p_T, P_S) order of
+    `GridSpec.points`."""
+    return [evaluate_point(*p) for p in grid.points()]

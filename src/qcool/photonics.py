@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,13 @@ STREAM_NOISE_ROUTING = 4
 
 @dataclass(frozen=True)
 class RateConfig:
-    """Laboratory rates (events per second), coincidence window (seconds)
-    and the polarization state of the coupled noise."""
+    """Laboratory rates (events per second) and coincidence window
+    (seconds)."""
 
     rate_singlet: float
     rate_singles: float
     rate_noise: float
     tau: float
-    noise_polarization: EnvironmentSpec = EnvironmentSpec(0.0)
 
     def __post_init__(self):
         for name, v in (
@@ -68,18 +67,10 @@ class RateConfig:
                 warnings.warn(
                     f"{name}*tau = {v * self.tau:.3g} exceeds {RATE_TAU_WARN}; "
                     "multi-photon windows will be common",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau={self.tau} must be > 0")
-
-    def same_rates(self, other: "RateConfig") -> bool:
-        return (
-            self.rate_singlet == other.rate_singlet
-            and self.rate_singles == other.rate_singles
-            and self.rate_noise == other.rate_noise
-            and self.tau == other.tau
-        )
 
 
 @dataclass(frozen=True)
@@ -299,10 +290,8 @@ def simulate_streams(
 def merge_tallies(a: CoincidenceTally, b: CoincidenceTally) -> CoincidenceTally:
     """Combine tallies from disjoint simulation shards; associative and
     order-independent in the totals."""
-    if not a.config.same_rates(b.config):
+    if a.config != b.config:
         raise ValueError("cannot merge tallies with different rates or tau")
-    if a.config.noise_polarization != b.config.noise_polarization:
-        raise ValueError("cannot merge tallies with different noise polarization")
     return CoincidenceTally(
         n_success=a.n_success + b.n_success,
         n_flip=a.n_flip + b.n_flip,
@@ -311,10 +300,6 @@ def merge_tallies(a: CoincidenceTally, b: CoincidenceTally) -> CoincidenceTally:
         config=a.config,
         duration=a.duration + b.duration,
     )
-
-
-def _is_pure_ground(spec: EnvironmentSpec) -> bool:
-    return spec.p_t == 0.0
 
 
 def mix_detections(
@@ -329,23 +314,15 @@ def mix_detections(
     probability 1-p_t and from the excited-noise record with probability
     p_t, which is statistically equivalent to simulating with the mixed
     noise polarization directly.  The two runs must share rates, tau and
-    duration; the excited run's noise must be the state orthogonal to
-    the ground run's (pure, with the basis labels swapped).
+    duration.  Polarization never filters a click, so the two pure-noise
+    runs are independent draws of one configuration.
     """
     if not 0.0 <= p_t <= 0.5:
         raise ValueError(f"p_t={p_t} outside [0, 1/2]")
-    if not tally_ground.config.same_rates(tally_excited.config):
+    if tally_ground.config != tally_excited.config:
         raise ValueError("tallies produced with different rates or tau")
     if tally_ground.duration != tally_excited.duration:
         raise ValueError("tallies produced with different durations")
-    g_pol = tally_ground.config.noise_polarization
-    e_pol = tally_excited.config.noise_polarization
-    if not _is_pure_ground(g_pol):
-        raise ValueError("ground tally must be produced with pure ground noise")
-    if not (_is_pure_ground(e_pol) and e_pol.basis == g_pol.basis[::-1]):
-        raise ValueError(
-            "excited tally must be produced with the orthogonal pure noise state"
-        )
     n_g, n_e = tally_ground.n_triple, tally_excited.n_triple
     if n_g == 0 or n_e == 0:
         raise ValueError("both tallies must contain heralded triples")
@@ -361,16 +338,12 @@ def mix_detections(
         return rng.multinomial(size, probs / probs.sum())
 
     counts = resample(tally_ground, k) + resample(tally_excited, n - k)
-    mixed_config = replace(
-        tally_ground.config,
-        noise_polarization=EnvironmentSpec(p_t, basis=g_pol.basis),
-    )
     return CoincidenceTally(
         n_success=int(counts[0]),
         n_flip=int(counts[1]),
         n_loss=int(counts[2]),
         n_discarded=0,
-        config=mixed_config,
+        config=tally_ground.config,
         duration=tally_ground.duration,
     )
 

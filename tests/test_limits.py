@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcool.limits import (
     BracketError,
@@ -216,10 +219,18 @@ class TestSweep:
         bad = [r for r in records if not r.feasible][0]
         assert math.isnan(bad.numeric_negativity)
 
-    def test_worker_count_does_not_change_output(self):
-        grid = GridSpec.from_ranges((0.1, 0.5, 3), (0.0, 0.4, 3), (0.1, 0.9, 3))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    )
+    def test_unsorted_axes_evaluated_in_lexicographic_order(self, p_t, p_l, p_s):
+        expected = [
+            evaluate_point(t, l, s) for l, t, s in sorted(itertools.product(p_l, p_t, p_s))
+        ]
         # repr compares NaN fields of infeasible records as equal text
-        assert repr(sweep(grid, workers=1)) == repr(sweep(grid, workers=2))
+        assert repr(sweep(GridSpec(p_t, p_l, p_s))) == repr(expected)
 
     def test_record_fields(self):
         rec = evaluate_point(0.25, 0.4, 0.35)
