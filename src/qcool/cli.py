@@ -17,9 +17,12 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, replace
+from functools import partial
+from operator import attrgetter as _get
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -30,31 +33,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-COMMANDS = ("limits", "surface", "simulate", "tomo", "pipeline")
+GRID_KEYS = ("p_t", "p_l", "p_s")
+RATE_KEYS = ("rate_singlet", "rate_singles", "rate_noise", "tau")
 
-SURFACE_DEFAULTS = {"p_t": "0:0.5:26", "p_l": "0:0.9:19", "p_s": "0:1:41"}
+SURFACE_DEFAULTS = {"p_t": (0.0, 0.5, 26), "p_l": (0.0, 0.9, 19), "p_s": (0.0, 1.0, 41)}
 
-LIMITS_COLUMNS = (
-    "p_T", "P_S", "P_L", "P_TL", "uncond_boundary", "cond_boundary",
-    "uncond_ok", "cond_ok", "numeric_negativity", "feasible",
-)
-SIMULATE_COLUMNS = (
-    "rate_singlet", "rate_singles", "rate_noise", "tau", "duration", "ratio",
-    "n_triple", "n_success", "n_flip", "n_loss", "n_discarded",
-    "p_s_emp", "p_f_emp", "p_l_emp", "p_s_err", "p_f_err", "p_l_err",
-    "p_s_pred", "p_f_pred", "p_l_pred", "two_ps_plus_pl",
-)
-TOMO_COLUMNS = (
-    "p_t", "p_s", "p_f", "p_l", "shots_per_setting", "noise_model",
-    "fidelity", "negativity_true", "negativity_recon",
-    "entangled_true", "entangled_recon", "uncond_ok", "cond_ok",
-)
-PIPELINE_COLUMNS = (
-    "scenario", "rate_singlet", "rate_singles", "rate_noise", "tau", "p_t",
-    "duration", "ratio", "n_triple", "p_s_emp", "p_f_emp", "p_l_emp",
-    "uncond_boundary", "cond_boundary", "uncond_ok", "recon_negativity",
-    "cond_entangled", "classification",
-)
+#: Largest grid `limits` and `surface` accept.  A run peaks at about 490
+#: bytes per point writing csv and 640 writing jsonl (records, sorted
+#: points and formatted lines; tracemalloc on the default 20,254-point
+#: grid), so at 1 KiB a point this cap keeps a run within a 1 GiB budget.
+MAX_GRID_POINTS = 2**30 // 1024
 
 
 class ConfigError(ValueError):
@@ -91,49 +79,50 @@ class RunConfig:
     seed: int
     out: str
     fmt: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Any]
 
 
-def _pop_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
+def _checked(keys: tuple[str, ...], build: Callable, *args: Any) -> Any:
+    """`build(*args)`, its ValueError turned into a ConfigError naming `keys`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        named = f"key {keys[0]!r}" if len(keys) == 1 else "keys " + "/".join(keys)
+        raise ConfigError(f"{named}: {exc}") from None
+
+
+def _pop(cfg: dict[str, str], key: str, parse: Callable[[str], Any], default: Any = None) -> Any:
+    """Remove `key` from `cfg` and parse its value.  An absent key gives
+    `default`; with no default the key is required."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    raw = cfg.pop(key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: not a number: {raw!r}") from None
+    return _checked((key,), parse, cfg.pop(key))
 
 
-def _pop_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = cfg.pop(key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from None
-
-
-def _parse_axis(key: str, text: str) -> tuple[float, float, int]:
+def _parse_axis(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
+    if len(parts) == 1:
+        return (float(text), float(text), 1)
+    if len(parts) != 3:
+        raise ValueError(f"expected 'value' or 'lo:hi:count', got {text!r}")
+    return (float(parts[0]), float(parts[1]), int(parts[2]))
+
+
+def _parse_duration(text: str) -> float:
+    duration = float(text)
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError("must be finite and > 0")
+    return duration
+
+
+def _load_state(path: str) -> DensityMatrix:
     try:
-        if len(parts) == 1:
-            v = float(parts[0])
-            return (v, v, 1)
-        if len(parts) == 3:
-            return (float(parts[0]), float(parts[1]), int(parts[2]))
-    except ValueError:
-        pass
-    raise ConfigError(f"key {key!r}: expected 'value' or 'lo:hi:count', got {text!r}")
-
-
-def _reject_unknown(cfg: dict[str, str]) -> None:
-    if cfg:
-        raise ConfigError(f"unknown key {sorted(cfg)[0]!r}")
+        raw = np.loadtxt(path, dtype=complex)
+    except OSError as exc:
+        raise ValueError(f"cannot read state file: {exc}") from None
+    return DensityMatrix(raw, (2, 2))
 
 
 def _check_out_writable(out: str) -> None:
@@ -156,8 +145,10 @@ def load_run_config(
             cfg = parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    if command not in COMMAND_TABLE:
+        raise ConfigError(f"unknown command {command!r}")
 
-    run_seed = seed if seed is not None else _pop_int(cfg, "seed", 0)
+    run_seed = seed if seed is not None else _pop(cfg, "seed", int, 0)
     cfg.pop("seed", None)
     run_out = out if out is not None else cfg.pop("out", "qcool_out.csv")
     run_fmt = fmt if fmt is not None else cfg.pop("format", "csv")
@@ -167,108 +158,73 @@ def load_run_config(
         raise ConfigError("key 'seed': must fit in an unsigned 64-bit integer")
     _check_out_writable(run_out)
 
-    rc = RunConfig(command=command, seed=run_seed, out=run_out, fmt=run_fmt)
-    if command in ("limits", "surface"):
-        if command == "surface":
-            for key, value in SURFACE_DEFAULTS.items():
-                cfg.setdefault(key, value)
-        axes = {}
-        for key in ("p_t", "p_l", "p_s"):
-            if key not in cfg:
-                raise ConfigError(f"missing required key {key!r}")
-            axes[key] = _parse_axis(key, cfg.pop(key))
-        try:
-            grid = limits.GridSpec.from_ranges(axes["p_t"], axes["p_l"], axes["p_s"])
-        except ValueError as exc:
-            raise ConfigError(f"keys p_t/p_l/p_s: {exc}") from None
-        rc.params = {"grid": grid}
-    elif command == "simulate":
-        rc.params = {
-            "rate_config": _rate_config_from(cfg, prefix=""),
-            "duration": _duration_from(cfg, "duration"),
-        }
-    elif command == "tomo":
-        rc.params = _tomo_params_from(cfg)
-    elif command == "pipeline":
-        rc.params = _pipeline_params_from(cfg)
-    else:
-        raise ConfigError(f"unknown command {command!r}")
-    _reject_unknown(cfg)
-    return rc
+    params_from, _ = COMMAND_TABLE[command]
+    params = params_from(cfg)
+    if cfg:
+        raise ConfigError(f"unknown key {sorted(cfg)[0]!r}")
+    return RunConfig(command=command, seed=run_seed, out=run_out, fmt=run_fmt, params=params)
 
 
-def _duration_from(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    duration = _pop_float(cfg, key, default)
-    if not (math.isfinite(duration) and duration > 0):
-        raise ConfigError(f"key {key!r}: must be finite and > 0")
-    return duration
+def _grid_params(defaults: dict[str, Any], cfg: dict[str, str]) -> dict[str, Any]:
+    axes = [_pop(cfg, key, _parse_axis, defaults.get(key)) for key in GRID_KEYS]
+    # linspace allocates every axis, so an empty axis counts as one point
+    # here and cannot hide a huge one.
+    size = math.prod(max(n, 1) for _, _, n in axes)
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(f"keys p_t/p_l/p_s: {size} grid points exceed the cap of {MAX_GRID_POINTS}")
+    return {"grid": _checked(GRID_KEYS, limits.GridSpec.from_ranges, *axes)}
 
 
-def _rate_config_from(cfg: dict[str, str], prefix: str) -> photonics.RateConfig:
-    try:
-        return photonics.RateConfig(
-            rate_singlet=_pop_float(cfg, prefix + "rate_singlet"),
-            rate_singles=_pop_float(cfg, prefix + "rate_singles"),
-            rate_noise=_pop_float(cfg, prefix + "rate_noise"),
-            tau=_pop_float(cfg, prefix + "tau"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"keys {prefix}rate_*/{prefix}tau: {exc}") from None
+def _rate_config(cfg: dict[str, str], prefix: str = "") -> photonics.RateConfig:
+    keys = tuple(prefix + key for key in RATE_KEYS)
+    return _checked(keys, photonics.RateConfig, *(_pop(cfg, key, float) for key in keys))
 
 
-def _tomo_params_from(cfg: dict[str, str]) -> dict[str, Any]:
-    shots = _pop_int(cfg, "shots_per_setting", 1_000_000)
-    noise_model = cfg.pop("noise_model", "multinomial")
-    if noise_model not in ("multinomial", "poisson"):
-        raise ConfigError("key 'noise_model': must be multinomial or poisson")
-    if shots < 1:
-        raise ConfigError("key 'shots_per_setting': must be >= 1")
+def _simulate_params(cfg: dict[str, str]) -> dict[str, Any]:
+    return {"rate_config": _rate_config(cfg), "duration": _pop(cfg, "duration", _parse_duration)}
+
+
+def _tomo_params(cfg: dict[str, str]) -> dict[str, Any]:
+    # The settings carry seed 0 until the run replaces it.
+    settings = _checked(
+        ("shots_per_setting", "noise_model"), tomography.TomographySettings,
+        _pop(cfg, "shots_per_setting", int, 1_000_000), 0,
+        _pop(cfg, "noise_model", str, "multinomial"),
+    )
     if "state_file" in cfg:
-        path = cfg.pop("state_file")
-        try:
-            raw = np.loadtxt(path, dtype=complex)
-            truth = DensityMatrix(raw, (2, 2))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"key 'state_file': malformed state file: {exc}") from None
-        return {"truth": truth, "params": None, "spec": None,
-                "shots": shots, "noise_model": noise_model}
-    p_s = _pop_float(cfg, "p_s")
-    p_l = _pop_float(cfg, "p_l")
-    p_t = _pop_float(cfg, "p_t")
-    try:
-        params = channel.ChannelParams(p_s, 1.0 - p_s - p_l, p_l)
-    except ValueError as exc:
-        raise ConfigError(f"keys p_s/p_l: {exc}") from None
-    try:
-        spec = channel.EnvironmentSpec(p_t)
-    except ValueError as exc:
-        raise ConfigError(f"key 'p_t': {exc}") from None
+        truth = _pop(cfg, "state_file", _load_state)
+        return {"truth": truth, "params": None, "spec": None, "settings": settings}
+    p_s, p_l = _pop(cfg, "p_s", float), _pop(cfg, "p_l", float)
+    params = _checked(("p_s", "p_l"), channel.ChannelParams, p_s, 1.0 - p_s - p_l, p_l)
+    spec = _checked(("p_t",), channel.EnvironmentSpec, _pop(cfg, "p_t", float))
     truth, _ = channel.conditional_state(params, spec)
-    return {"truth": truth, "params": params, "spec": spec,
-            "shots": shots, "noise_model": noise_model}
+    return {"truth": truth, "params": params, "spec": spec, "settings": settings}
 
 
-def _pipeline_params_from(cfg: dict[str, str]) -> dict[str, Any]:
-    shots = _pop_int(cfg, "shots_per_setting", 100_000)
-    if shots < 1:
-        raise ConfigError("key 'shots_per_setting': must be >= 1")
-    default_duration = _duration_from(cfg, "duration") if "duration" in cfg else None
-    scenarios = []
-    k = 1
-    while any(key.startswith(f"scenario{k}.") for key in cfg):
-        prefix = f"scenario{k}."
-        rate_config = _rate_config_from(cfg, prefix)
-        p_t = _pop_float(cfg, prefix + "p_t")
-        try:
-            spec = channel.EnvironmentSpec(p_t)
-        except ValueError as exc:
-            raise ConfigError(f"key {prefix}p_t: {exc}") from None
-        duration = _duration_from(cfg, prefix + "duration", default_duration)
-        scenarios.append({"rate_config": rate_config, "spec": spec, "duration": duration})
-        k += 1
-    if not scenarios:
+def _scenario(cfg: dict[str, str], prefix: str, default_duration: float | None) -> tuple:
+    """A pipeline scenario's (rate_config, spec, duration)."""
+    rate_config = _rate_config(cfg, prefix)
+    _checked((prefix + "rate_singlet",), photonics.rate_ratio, rate_config)
+    spec = _checked((prefix + "p_t",), channel.EnvironmentSpec, _pop(cfg, prefix + "p_t", float))
+    return rate_config, spec, _pop(cfg, prefix + "duration", _parse_duration, default_duration)
+
+
+def _pipeline_params(cfg: dict[str, str]) -> dict[str, Any]:
+    settings = _checked(
+        ("shots_per_setting",), tomography.TomographySettings,
+        _pop(cfg, "shots_per_setting", int, 100_000),
+    )
+    default_duration = _pop(cfg, "duration", _parse_duration) if "duration" in cfg else None
+    # Indices stay strings: int() refuses numbers of over 4300 digits.
+    indices = {m[1] for m in map(re.compile(r"scenario([1-9]\d*)\.").match, cfg) if m}
+    if not indices:
         raise ConfigError("missing required key 'scenario1.rate_singlet' (no scenarios)")
-    return {"scenarios": scenarios, "shots": shots}
+    n = len(indices)
+    gap = next((k for k in range(1, n + 1) if str(k) not in indices), None)
+    if gap is not None:
+        raise ConfigError(f"missing scenario{gap}.*: scenarios are numbered 1..n without gaps")
+    scenarios = [_scenario(cfg, f"scenario{k}.", default_duration) for k in range(1, n + 1)]
+    return {"scenarios": scenarios, "settings": settings}
 
 
 def _fmt_value(v: Any) -> str:
@@ -281,128 +237,176 @@ def _fmt_value(v: Any) -> str:
     return str(v)
 
 
-def write_rows(path: str, fmt: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+def _json_value(v: Any) -> Any:
+    return None if isinstance(v, float) and math.isnan(v) else v
+
+
+def write_rows(path: str, fmt: str, columns: dict[str, Callable], records: list) -> None:
+    """Write one row per record; `columns` maps each column name to the
+    getter that reads its value from a record.  Every row is formatted
+    before the file is opened, so a failing getter leaves no partial file."""
+    getters = tuple(columns.values())
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join([_fmt_value(get(rec)) for get in getters]) for rec in records]
+    else:
+        lines = [
+            json.dumps({c: _json_value(get(rec)) for c, get in columns.items()})
+            for rec in records
+        ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "csv":
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt_value(row[c]) for c in columns) + "\n")
-        else:
-            for row in rows:
-                clean = {
-                    c: (None if isinstance(row[c], float) and math.isnan(row[c]) else row[c])
-                    for c in columns
-                }
-                fh.write(json.dumps(clean) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+LIMITS_COLUMNS = {
+    "p_T": _get("p_t"),
+    "P_S": _get("p_s"),
+    "P_L": _get("p_l"),
+    "P_TL": _get("p_tl"),
+    "uncond_boundary": _get("verdicts.uncond_boundary_ps"),
+    "cond_boundary": _get("verdicts.cond_boundary_ps"),
+    "uncond_ok": _get("verdicts.unconditional_ok"),
+    "cond_ok": _get("verdicts.conditional_ok"),
+    "numeric_negativity": _get("numeric_negativity"),
+    "feasible": _get("feasible"),
+}
 
 
 def run_limits(rc: RunConfig) -> int:
-    records = limits.sweep(rc.params["grid"])
-    rows = [
-        {
-            "p_T": r.p_t,
-            "P_S": r.p_s,
-            "P_L": r.p_l,
-            "P_TL": r.p_tl,
-            "uncond_boundary": r.verdicts.uncond_boundary_ps,
-            "cond_boundary": r.verdicts.cond_boundary_ps,
-            "uncond_ok": r.verdicts.unconditional_ok,
-            "cond_ok": r.verdicts.conditional_ok,
-            "numeric_negativity": r.numeric_negativity,
-            "feasible": r.feasible,
-        }
-        for r in records
-    ]
-    write_rows(rc.out, rc.fmt, LIMITS_COLUMNS, rows)
+    write_rows(rc.out, rc.fmt, LIMITS_COLUMNS, limits.sweep(rc.params["grid"]))
     return EXIT_OK
+
+
+def _unless(empty: Callable, get: Callable) -> Callable:
+    """Getter giving None, an empty cell, for a record where `empty` holds."""
+    return lambda rec: None if empty(rec) else get(rec)
+
+
+_if_triples = partial(_unless, lambda tally: tally.n_triple == 0)
+_if_singlets = partial(_unless, lambda tally: tally.config.rate_singlet == 0)
+
+
+def _predicted(tally: photonics.CoincidenceTally) -> channel.ChannelParams:
+    return photonics.params_from_ratio(photonics.rate_ratio(tally.config))
+
+
+SIMULATE_COLUMNS = {
+    **{key: _get("config." + key) for key in RATE_KEYS},
+    "duration": _get("duration"),
+    "ratio": lambda t: photonics.rate_ratio(t.config) if t.config.rate_singlet > 0 else math.nan,
+    "n_triple": _get("n_triple"),
+    "n_success": _get("n_success"),
+    "n_flip": _get("n_flip"),
+    "n_loss": _get("n_loss"),
+    "n_discarded": _get("n_discarded"),
+    "p_s_emp": _if_triples(_get("empirical_params.p_s")),
+    "p_f_emp": _if_triples(_get("empirical_params.p_f")),
+    "p_l_emp": _if_triples(_get("empirical_params.p_l")),
+    "p_s_err": _if_triples(lambda t: t.standard_errors[0]),
+    "p_f_err": _if_triples(lambda t: t.standard_errors[1]),
+    "p_l_err": _if_triples(lambda t: t.standard_errors[2]),
+    "p_s_pred": _if_singlets(lambda t: _predicted(t).p_s),
+    "p_f_pred": _if_singlets(lambda t: _predicted(t).p_f),
+    "p_l_pred": _if_singlets(lambda t: _predicted(t).p_l),
+    "two_ps_plus_pl": _if_triples(lambda t: 2.0 * t.empirical_params.p_s + t.empirical_params.p_l),
+}
 
 
 def run_simulate(rc: RunConfig) -> int:
-    config: photonics.RateConfig = rc.params["rate_config"]
-    tally = photonics.simulate_streams(config, rc.params["duration"], rc.seed)
-    ratio = photonics.rate_ratio(config) if config.rate_singlet > 0 else math.nan
-    pred = photonics.params_from_ratio(ratio) if not math.isnan(ratio) else None
-    row = {
-        "rate_singlet": config.rate_singlet,
-        "rate_singles": config.rate_singles,
-        "rate_noise": config.rate_noise,
-        "tau": config.tau,
-        "duration": tally.duration,
-        "ratio": ratio,
-        "n_triple": tally.n_triple,
-        "n_success": tally.n_success,
-        "n_flip": tally.n_flip,
-        "n_loss": tally.n_loss,
-        "n_discarded": tally.n_discarded,
-    }
-    if tally.n_triple > 0:
-        emp = tally.empirical_params
-        err = tally.standard_errors
-        row.update(
-            p_s_emp=emp.p_s, p_f_emp=emp.p_f, p_l_emp=emp.p_l,
-            p_s_err=err[0], p_f_err=err[1], p_l_err=err[2],
-            two_ps_plus_pl=2.0 * emp.p_s + emp.p_l,
-        )
-    else:
-        row.update(
-            p_s_emp=None, p_f_emp=None, p_l_emp=None,
-            p_s_err=None, p_f_err=None, p_l_err=None, two_ps_plus_pl=None,
-        )
-    if pred is not None:
-        row.update(p_s_pred=pred.p_s, p_f_pred=pred.p_f, p_l_pred=pred.p_l)
-    else:
-        row.update(p_s_pred=None, p_f_pred=None, p_l_pred=None)
-    write_rows(rc.out, rc.fmt, SIMULATE_COLUMNS, [row])
+    tally = photonics.simulate_streams(rc.params["rate_config"], rc.params["duration"], rc.seed)
+    write_rows(rc.out, rc.fmt, SIMULATE_COLUMNS, [tally])
     return EXIT_OK
+
+
+class TomoRecord(NamedTuple):
+    params: channel.ChannelParams | None
+    spec: channel.EnvironmentSpec | None
+    settings: tomography.TomographySettings
+    fidelity: float
+    true: entanglement.EntanglementReport
+    recon: entanglement.EntanglementReport
+
+
+_if_params = partial(_unless, lambda rec: rec.params is None)
+
+
+TOMO_COLUMNS = {
+    "p_t": _if_params(_get("spec.p_t")),
+    "p_s": _if_params(_get("params.p_s")),
+    "p_f": _if_params(_get("params.p_f")),
+    "p_l": _if_params(_get("params.p_l")),
+    "shots_per_setting": _get("settings.shots_per_setting"),
+    "noise_model": _get("settings.noise_model"),
+    "fidelity": _get("fidelity"),
+    "negativity_true": _get("true.negativity"),
+    "negativity_recon": _get("recon.negativity"),
+    "entangled_true": _get("true.entangled"),
+    "entangled_recon": _get("recon.entangled"),
+    "uncond_ok": _if_params(lambda r: r.params.p_s > limits.uncond_boundary(r.spec.p_t)),
+    "cond_ok": _if_params(
+        lambda r: r.params.p_s > limits.cond_boundary(r.spec.p_t * r.params.p_l)
+    ),
+}
 
 
 def run_tomo(rc: RunConfig) -> int:
     truth: DensityMatrix = rc.params["truth"]
-    settings = tomography.TomographySettings(
-        shots_per_setting=rc.params["shots"],
-        seed=rc.seed,
-        noise_model=rc.params["noise_model"],
-    )
+    settings = replace(rc.params["settings"], seed=rc.seed)
     probs = tomography.born_probabilities(truth, settings)
-    counts = tomography.sample_counts(probs, settings)
-    recon = tomography.reconstruct(counts)
-    rep_true = entanglement.report(truth)
-    rep_recon = entanglement.report(recon)
-    params: channel.ChannelParams | None = rc.params["params"]
-    spec: channel.EnvironmentSpec | None = rc.params["spec"]
-    row = {
-        "p_t": spec.p_t if spec else None,
-        "p_s": params.p_s if params else None,
-        "p_f": params.p_f if params else None,
-        "p_l": params.p_l if params else None,
-        "shots_per_setting": settings.shots_per_setting,
-        "noise_model": settings.noise_model,
-        "fidelity": fidelity(truth, recon),
-        "negativity_true": rep_true.negativity,
-        "negativity_recon": rep_recon.negativity,
-        "entangled_true": rep_true.entangled,
-        "entangled_recon": rep_recon.entangled,
-        "uncond_ok": params.p_s > limits.uncond_boundary(spec.p_t) if params else None,
-        "cond_ok": params.p_s > limits.cond_boundary(spec.p_t * params.p_l) if params else None,
-    }
-    write_rows(rc.out, rc.fmt, TOMO_COLUMNS, [row])
+    recon = tomography.reconstruct(tomography.sample_counts(probs, settings))
+    record = TomoRecord(
+        rc.params["params"], rc.params["spec"], settings, fidelity(truth, recon),
+        entanglement.report(truth), entanglement.report(recon),
+    )
+    write_rows(rc.out, rc.fmt, TOMO_COLUMNS, [record])
     return EXIT_OK
 
 
-def classify(uncond_ok: bool, cond_entangled: bool) -> str:
-    if uncond_ok:
+class PipelineRecord(NamedTuple):
+    scenario: int
+    rate_config: photonics.RateConfig
+    spec: channel.EnvironmentSpec
+    duration: float
+    mixed: photonics.CoincidenceTally
+    recon: entanglement.EntanglementReport
+
+
+def _uncond_boundary(rec: PipelineRecord) -> float:
+    return limits.uncond_boundary(rec.spec.p_t)
+
+
+def _uncond_ok(rec: PipelineRecord) -> bool:
+    return rec.mixed.empirical_params.p_s > _uncond_boundary(rec)
+
+
+def classify(rec: PipelineRecord) -> str:
+    if _uncond_ok(rec):
         return "unconditional"
-    if cond_entangled:
-        return "conditional_only"
-    return "separable"
+    return "conditional_only" if rec.recon.entangled else "separable"
+
+
+PIPELINE_COLUMNS = {
+    "scenario": _get("scenario"),
+    **{key: _get("rate_config." + key) for key in RATE_KEYS},
+    "p_t": _get("spec.p_t"),
+    "duration": _get("duration"),
+    "ratio": lambda r: photonics.rate_ratio(r.rate_config),
+    "n_triple": _get("mixed.n_triple"),
+    "p_s_emp": _get("mixed.empirical_params.p_s"),
+    "p_f_emp": _get("mixed.empirical_params.p_f"),
+    "p_l_emp": _get("mixed.empirical_params.p_l"),
+    "uncond_boundary": _uncond_boundary,
+    "cond_boundary": lambda r: limits.cond_boundary(r.spec.p_t * r.mixed.empirical_params.p_l),
+    "uncond_ok": _uncond_ok,
+    "recon_negativity": _get("recon.negativity"),
+    "cond_entangled": _get("recon.entangled"),
+    "classification": classify,
+}
 
 
 def run_pipeline(rc: RunConfig) -> int:
-    rows = []
-    for idx, scenario in enumerate(rc.params["scenarios"], start=1):
-        config: photonics.RateConfig = scenario["rate_config"]
-        spec: channel.EnvironmentSpec = scenario["spec"]
-        duration = scenario["duration"]
+    records = []
+    for idx, (config, spec, duration) in enumerate(rc.params["scenarios"], start=1):
         seq = np.random.SeedSequence(rc.seed, spawn_key=(idx,))
         seed_g, seed_e, seed_mix, seed_tomo = (
             int(s.generate_state(1, dtype=np.uint64)[0]) for s in seq.spawn(4)
@@ -412,51 +416,25 @@ def run_pipeline(rc: RunConfig) -> int:
         if tally_g.n_triple == 0 or tally_e.n_triple == 0:
             raise RuntimeError(f"scenario {idx}: no heralded triples")
         mixed = photonics.mix_detections(tally_g, tally_e, spec.p_t, seed_mix)
-        emp = mixed.empirical_params
         estimated = photonics.heralded_state_estimate(mixed, spec)
 
-        settings = tomography.TomographySettings(
-            shots_per_setting=rc.params["shots"], seed=seed_tomo
-        )
+        settings = replace(rc.params["settings"], seed=seed_tomo)
         counts = tomography.sample_counts(
             tomography.born_probabilities(estimated, settings), settings
         )
-        recon = tomography.reconstruct(counts)
-        rep = entanglement.report(recon)
-
-        ub = limits.uncond_boundary(spec.p_t)
-        cb = limits.cond_boundary(spec.p_t * emp.p_l)
-        uncond_ok = emp.p_s > ub
-        rows.append({
-            "scenario": idx,
-            "rate_singlet": config.rate_singlet,
-            "rate_singles": config.rate_singles,
-            "rate_noise": config.rate_noise,
-            "tau": config.tau,
-            "p_t": spec.p_t,
-            "duration": duration,
-            "ratio": photonics.rate_ratio(config),
-            "n_triple": mixed.n_triple,
-            "p_s_emp": emp.p_s,
-            "p_f_emp": emp.p_f,
-            "p_l_emp": emp.p_l,
-            "uncond_boundary": ub,
-            "cond_boundary": cb,
-            "uncond_ok": uncond_ok,
-            "recon_negativity": rep.negativity,
-            "cond_entangled": rep.entangled,
-            "classification": classify(uncond_ok, rep.entangled),
-        })
-    write_rows(rc.out, rc.fmt, PIPELINE_COLUMNS, rows)
+        recon = entanglement.report(tomography.reconstruct(counts))
+        records.append(PipelineRecord(idx, config, spec, duration, mixed, recon))
+    write_rows(rc.out, rc.fmt, PIPELINE_COLUMNS, records)
     return EXIT_OK
 
 
-_RUNNERS = {
-    "limits": run_limits,
-    "surface": run_limits,
-    "simulate": run_simulate,
-    "tomo": run_tomo,
-    "pipeline": run_pipeline,
+#: Each command's parameter loader and runner.
+COMMAND_TABLE = {
+    "limits": (partial(_grid_params, {}), run_limits),
+    "surface": (partial(_grid_params, SURFACE_DEFAULTS), run_limits),
+    "simulate": (_simulate_params, run_simulate),
+    "tomo": (_tomo_params, run_tomo),
+    "pipeline": (_pipeline_params, run_pipeline),
 }
 
 
@@ -466,7 +444,7 @@ def main(argv=None) -> int:
         description="Cooling-limit sweeps, coincidence Monte Carlo and simulated tomography",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in COMMAND_TABLE:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key=value configuration file")
         p.add_argument("--seed", type=int, default=None)
@@ -480,7 +458,8 @@ def main(argv=None) -> int:
         print(f"qcool: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _RUNNERS[rc.command](rc)
+        _, runner = COMMAND_TABLE[rc.command]
+        return runner(rc)
     except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"qcool: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

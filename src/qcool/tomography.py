@@ -58,6 +58,17 @@ PROJECTORS: tuple[np.ndarray, ...] = tuple(
 )
 
 
+#: Largest shot count, a power of two that numpy's multinomial and Poisson
+#: draws accept; 2**63 overflows a C long.
+MAX_SHOTS = 2**62
+
+#: Smallest shot count of the Poisson model.  A basis group's four
+#: probabilities sum to 1, so the group draws no count at all (and linear
+#: inversion has nothing to divide by) with probability exp(-shots); at 40
+#: shots the nine groups give a failure chance of 9 exp(-40) < 4e-17.
+MIN_POISSON_SHOTS = 40
+
+
 @dataclass(frozen=True)
 class TomographySettings:
     shots_per_setting: int
@@ -65,10 +76,12 @@ class TomographySettings:
     noise_model: str = "multinomial"
 
     def __post_init__(self):
-        if self.shots_per_setting < 1:
-            raise ValueError("shots_per_setting must be >= 1")
+        if not 1 <= self.shots_per_setting <= MAX_SHOTS:
+            raise ValueError("shots_per_setting must be in [1, 2**62]")
         if self.noise_model not in ("multinomial", "poisson"):
             raise ValueError(f"unknown noise_model {self.noise_model!r}")
+        if self.noise_model == "poisson" and self.shots_per_setting < MIN_POISSON_SHOTS:
+            raise ValueError(f"poisson needs shots_per_setting >= {MIN_POISSON_SHOTS}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

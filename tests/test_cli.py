@@ -2,11 +2,16 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qcool.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    GRID_KEYS,
+    MAX_GRID_POINTS,
+    RATE_KEYS,
     ConfigError,
     load_run_config,
     main,
@@ -16,11 +21,44 @@ from qcool.cli import (
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
+#: The keys each command reads (README "Command line"); `seed` and
+#: `format` are read by every command.
+SCENARIO_KEYS = RATE_KEYS + ("p_t", "duration")
+COMMAND_KEYS = {
+    "limits": GRID_KEYS,
+    "surface": GRID_KEYS,
+    "simulate": RATE_KEYS + ("duration",),
+    "tomo": ("p_s", "p_l", "p_t", "state_file", "shots_per_setting", "noise_model"),
+    "pipeline": ("shots_per_setting", "duration")
+    + tuple(f"scenario{k}.{key}" for k in (1, 2, 3) for key in SCENARIO_KEYS),
+}
+
+#: Config values: finite, non-finite, negative, huge, non-numeric, empty.
+NUMBERS = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.integers(-3, 50).map(str),
+    st.sampled_from([
+        "nan", "inf", "-inf", "-1", "1e400", str(2**62 + 1), str(10**30),
+        "abc", "", "poisson", "multinomial", "jsonl",
+    ]),
+)
+VALUES = NUMBERS | st.tuples(NUMBERS, NUMBERS, NUMBERS).map(":".join)
+#: Any three probabilities in [0, 1/2] form a valid channel point.
+PROBS = st.floats(0.0, 0.5).map(repr)
+NO_HEALTH = dict(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def scenario(k, **overrides):
+    """A pipeline scenario's key lines, short enough to simulate quickly."""
+    values = {"rate_singlet": "1e5", "rate_singles": "0", "rate_noise": "4e5",
+              "tau": "1e-6", "p_t": "0", "duration": "0.2", **overrides}
+    return "".join(f"scenario{k}.{key} = {v}\n" for key, v in values.items())
 
 
 class TestConfigParsing:
@@ -36,12 +74,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("not a pair\n")
 
-    def test_round_trip(self):
-        text = "zeta = 9\nalpha = 1\nmid = x y\n"
-        once = parse_config(text)
-        again = parse_config(serialize_config(once))
-        assert once == again
-        assert parse_config(serialize_config(again)) == once
+    @settings(max_examples=60)
+    @given(st.dictionaries(
+        st.text(st.characters(categories=("L", "N", "P", "S"), exclude_characters="#="), min_size=1),
+        st.text(st.characters(categories=("L", "N", "P", "S", "Zs"), exclude_characters="#"))
+        .map(str.strip),
+    ))
+    def test_round_trip(self, cfg):
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
 
 
 class TestLoadRunConfig:
@@ -84,6 +126,41 @@ class TestLoadRunConfig:
             code = main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")])
             assert code == EXIT_CONFIG
             assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @settings(max_examples=150, **NO_HEALTH)
+    @given(st.sampled_from(sorted(COMMAND_KEYS)), st.data())
+    def test_fuzzed_config_loads_or_is_rejected(self, tmp_path, command, data):
+        keys = COMMAND_KEYS[command] + ("seed", "format")
+        cfg = data.draw(st.dictionaries(st.sampled_from(keys), VALUES))
+        path = write_cfg(tmp_path, serialize_config(cfg))
+        try:
+            load_run_config(command, path, out=str(tmp_path / "x.csv"))
+        except ConfigError:
+            pass
+
+    def test_grid_cap(self, tmp_path, capsys):
+        assert 26 * 19 * 41 <= MAX_GRID_POINTS  # the default surface grid
+        huge = f"0:0.5:{MAX_GRID_POINTS + 1}"
+        for text in (
+            f"p_t = {huge}\np_l = 0\np_s = 0.4\n",
+            f"p_t = {huge}\np_l = 0:1:0\np_s = 0.4\n",  # an empty axis hides nothing
+            "p_t = 0:0.5:2000\np_l = 0:0.9:2000\np_s = 0:1:2000\n",
+        ):
+            cfg = write_cfg(tmp_path, text)
+            assert main(["limits", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+            assert "keys p_t/p_l/p_s" in capsys.readouterr().err
+
+    def test_shot_bound(self, tmp_path, capsys):
+        point = "p_s = 0.4\np_l = 0.3\np_t = 0.2\n"
+        for command, body in (("tomo", point), ("pipeline", scenario(1))):
+            cfg = write_cfg(tmp_path, body + f"shots_per_setting = {2**62 + 1}\n")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+            assert "shots_per_setting" in capsys.readouterr().err
+            cfg = write_cfg(tmp_path, body + f"shots_per_setting = {2**62}\n")
+            rc = load_run_config(command, cfg, out=str(tmp_path / "x.csv"))
+            assert rc.params["settings"].shots_per_setting == 2**62
+        cfg = write_cfg(tmp_path, point + f"shots_per_setting = {2**62}\n")
+        assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
 
     def test_surface_defaults(self, tmp_path):
         path = write_cfg(tmp_path, "")
@@ -141,6 +218,34 @@ class TestLimitsCommand:
             row = dict(zip(header, line.split(",")))
             for col in ("p_T", "P_S", "P_L", "P_TL", "uncond_boundary", "cond_boundary"):
                 assert 0.0 <= float(row[col]) <= 1.0
+
+
+class TestFuzzedRuns:
+    @settings(max_examples=40, **NO_HEALTH)
+    @given(st.lists(
+        PROBS | NUMBERS | st.tuples(PROBS, PROBS, st.integers(-1, 4).map(str)).map(":".join),
+        min_size=3, max_size=3,
+    ))
+    def test_limits_exit_status(self, tmp_path, axes):
+        text = "".join(f"{key} = {v}\n" for key, v in zip(GRID_KEYS, axes))
+        cfg = write_cfg(tmp_path, text)
+        code = main(["limits", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+
+    @settings(max_examples=40, **NO_HEALTH)
+    @given(
+        st.lists(PROBS, min_size=3, max_size=3) | st.lists(NUMBERS, min_size=3, max_size=3),
+        st.sampled_from(["1", "39", "40", "2000", "0", "-1", "abc", str(2**62 + 1), str(10**20)]),
+        st.sampled_from(["multinomial", "poisson", "gaussian"]),
+    )
+    @example(["0.4", "0.3", "0.2"], str(10**20), "multinomial")
+    @example(["0.4", "0.3", "0.2"], "1", "poisson")
+    def test_tomo_exit_status(self, tmp_path, point, shots, noise_model):
+        text = "".join(f"{key} = {v}\n" for key, v in zip(("p_s", "p_l", "p_t"), point))
+        text += f"shots_per_setting = {shots}\nnoise_model = {noise_model}\n"
+        cfg = write_cfg(tmp_path, text)
+        code = main(["tomo", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
 
 
 class TestSimulateCommand:
@@ -226,6 +331,15 @@ class TestTomoCommand:
         code = main(["tomo", "--config", cfg, "--out", str(out)])
         assert code == EXIT_CONFIG
 
+    def test_few_poisson_shots_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "p_s = 0.4\np_l = 0.3\np_t = 0.2\nnoise_model = poisson\nshots_per_setting = 1\n",
+        )
+        out = str(tmp_path / "t.csv")
+        assert main(["tomo", "--config", cfg, "--seed", "1", "--out", out]) == EXIT_CONFIG
+        assert "shots_per_setting" in capsys.readouterr().err
+
     def test_malformed_state_file(self, tmp_path):
         state = tmp_path / "junk.txt"
         state.write_text("this is not a matrix\n")
@@ -305,6 +419,19 @@ class TestPipelineCommand:
         )
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
         assert "key 'duration'" in capsys.readouterr().err
+
+    def test_scenario_gap_named(self, tmp_path, capsys):
+        for text in (scenario(1) + scenario(3), scenario(1) + f"scenario{'9' * 5000}.tau = 1\n"):
+            cfg = write_cfg(tmp_path, text)
+            assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
+            assert "missing scenario2" in capsys.readouterr().err
+
+    def test_zero_singlet_rate_rejected(self, tmp_path, capsys):
+        # simulate accepts a zero singlet rate; a pipeline scenario cannot
+        # form the rate ratio it classifies by
+        cfg = write_cfg(tmp_path, scenario(1, rate_singlet="0", rate_singles="1e5"))
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
+        assert "key 'scenario1.rate_singlet'" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_cfg(

@@ -46,6 +46,17 @@ class TestSettingLayout:
         with pytest.raises(ValueError):
             TomographySettings(shots_per_setting=10, noise_model="gaussian")
 
+    def test_shot_bounds(self):
+        # numpy's draws accept 2**62 shots; a Poisson group below 40 shots
+        # draws no count at all too often for linear inversion.
+        assert TomographySettings(shots_per_setting=2**62).shots_per_setting == 2**62
+        assert TomographySettings(shots_per_setting=1).shots_per_setting == 1
+        assert TomographySettings(shots_per_setting=40, noise_model="poisson")
+        with pytest.raises(ValueError, match="shots_per_setting"):
+            TomographySettings(shots_per_setting=2**62 + 1)
+        with pytest.raises(ValueError, match="shots_per_setting"):
+            TomographySettings(shots_per_setting=39, noise_model="poisson")
+
 
 class TestBornProbabilities:
     def test_singlet_parallel_outcome_vanishes(self):
