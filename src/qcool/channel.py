@@ -75,9 +75,18 @@ class ThermalPoint:
             raise ValueError("delta_e_over_kt must be finite and >= 0")
 
 
+def _env(p_t) -> np.ndarray:
+    """diag(1-p_t, p_t) for each p_t; shape p_t.shape + (2, 2)."""
+    p_t = np.asarray(p_t, dtype=float)
+    e = np.zeros(p_t.shape + (2, 2), dtype=complex)
+    e[..., 0, 0] = 1.0 - p_t
+    e[..., 1, 1] = p_t
+    return e
+
+
 def env_state(spec: EnvironmentSpec) -> DensityMatrix:
     """Single environment qubit: diag(1-p_t, p_t) in the (ground, excited) basis."""
-    return DensityMatrix(np.diag([1.0 - spec.p_t, spec.p_t]).astype(complex), (2,))
+    return DensityMatrix(_env(spec.p_t), (2,))
 
 
 def thermal_p(t: ThermalPoint) -> float:
@@ -96,6 +105,17 @@ def singlet() -> DensityMatrix:
     return DensityMatrix(_SINGLET.copy(), (2, 2))
 
 
+def _col(v) -> np.ndarray:
+    """Probabilities as a stack of scalar factors for (..., d, d) stacks."""
+    return np.asarray(v, dtype=float)[..., None, None]
+
+
+def unconditional_states(p_s, p_t) -> np.ndarray:
+    """Unvalidated unconditional outputs for broadcast arrays of P_S and
+    p_T: P_S * singlet + (1 - P_S) * (I/2 (x) E), shape (..., 4, 4)."""
+    return _col(p_s) * _SINGLET + _col(1.0 - p_s) * kron(IDENTITY2 / 2.0, _env(p_t))
+
+
 def unconditional_state(p_s: float, spec: EnvironmentSpec) -> DensityMatrix:
     """Channel output without any heralding.
 
@@ -103,17 +123,26 @@ def unconditional_state(p_s: float, spec: EnvironmentSpec) -> DensityMatrix:
     """
     if not 0.0 <= p_s <= 1.0:
         raise ValueError(f"p_s={p_s} outside [0, 1]")
-    e = env_state(spec).data
-    rho = p_s * _SINGLET + (1.0 - p_s) * kron(IDENTITY2 / 2.0, e)
-    return DensityMatrix(rho, (2, 2))
+    return DensityMatrix(unconditional_states(p_s, spec.p_t), (2, 2))
 
 
 def _reorder_subsystems(mat: np.ndarray, dims: tuple[int, ...], perm) -> np.ndarray:
-    n = len(dims)
-    t = mat.reshape(dims + dims)
-    axes = list(perm) + [p + n for p in perm]
+    lead = mat.shape[:-2]
+    k, n = len(lead), len(dims)
+    t = mat.reshape(lead + dims + dims)
+    axes = list(range(k)) + [k + p for p in perm] + [k + n + p for p in perm]
     d = int(np.prod(dims))
-    return t.transpose(axes).reshape(d, d)
+    return t.transpose(axes).reshape(lead + (d, d))
+
+
+def tripartite_states(p_s, p_f, p_l, p_t) -> np.ndarray:
+    """Unvalidated three-qubit outputs for broadcast arrays of the channel
+    probabilities and p_T, shape (..., 8, 8); see `tripartite_state`."""
+    e = _env(p_t)
+    term_s = kron(_SINGLET, e)                                   # (R,A) (x) B
+    term_f = _reorder_subsystems(term_s, (2, 2, 2), (0, 2, 1))
+    term_l = kron(kron(IDENTITY2 / 2.0, e), e)
+    return _col(p_s) * term_s + _col(p_f) * term_f + _col(p_l) * term_l
 
 
 def tripartite_state(params: ChannelParams, spec: EnvironmentSpec) -> DensityMatrix:
@@ -123,12 +152,20 @@ def tripartite_state(params: ChannelParams, spec: EnvironmentSpec) -> DensityMat
     probe emerging at B with E on A (weight P_F), probe lost with E on
     both outputs (weight P_L).
     """
-    e = env_state(spec).data
-    term_s = kron(_SINGLET, e)                                   # (R,A) (x) B
-    term_f = _reorder_subsystems(kron(_SINGLET, e), (2, 2, 2), (0, 2, 1))
-    term_l = kron(kron(IDENTITY2 / 2.0, e), e)
-    rho = params.p_s * term_s + params.p_f * term_f + params.p_l * term_l
+    rho = tripartite_states(params.p_s, params.p_f, params.p_l, spec.p_t)
     return DensityMatrix(rho, (2, 2, 2))
+
+
+def conditional_states(p_s, p_f, p_l, p_t) -> tuple[np.ndarray, np.ndarray]:
+    """Unvalidated heralded R-A states and their weights N for broadcast
+    arrays of the channel probabilities and p_T; see `conditional_state`.
+    Returns a (..., 4, 4) stack and the (...) weights."""
+    e = _env(p_t)
+    weight = (1.0 - p_t) * (1.0 - p_f) + p_f / 2.0
+    sigma = _col(1.0 - p_t) * (
+        _col(p_s) * _SINGLET + _col(p_l) * kron(IDENTITY2 / 2.0, e)
+    ) + _col(0.5 * p_f) * kron(EXCITED, e)
+    return sigma / _col(weight), weight
 
 
 def conditional_state(
@@ -140,13 +177,8 @@ def conditional_state(
     + P_F/2 |excited><excited| (x) E] / N with
     N = (1-p_T)(1-P_F) + P_F/2.  Returns (state, N).
     """
-    p = spec.p_t
-    e = env_state(spec).data
-    weight = (1.0 - p) * (1.0 - params.p_f) + params.p_f / 2.0
-    sigma = (1.0 - p) * (
-        params.p_s * _SINGLET + params.p_l * kron(IDENTITY2 / 2.0, e)
-    ) + 0.5 * params.p_f * kron(EXCITED, e)
-    return DensityMatrix(sigma / weight, (2, 2)), float(weight)
+    sigma, weight = conditional_states(params.p_s, params.p_f, params.p_l, spec.p_t)
+    return DensityMatrix(sigma, (2, 2)), float(weight)
 
 
 def projector(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -178,10 +210,16 @@ def project_b(
         raise ValueError("projector must be a rank-1 orthogonal projector")
     if rho8.dims != (2, 2, 2):
         raise ValueError("state must have dims (2, 2, 2)")
+    reduced, weight = project_b_states(rho8.data, proj)
+    return DensityMatrix(reduced, (2, 2)), float(weight)
+
+
+def project_b_states(rho8: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`project_b` on a (..., 8, 8) stack with an already checked
+    projector: the unvalidated normalized R-A states and the weights."""
     op = kron(np.eye(4, dtype=complex), proj)
-    sigma = op @ rho8.data @ op
-    weight = float(np.trace(sigma).real)
-    if weight <= 1e-15:
+    sigma = op @ rho8 @ op
+    weight = np.trace(sigma, axis1=-2, axis2=-1).real
+    if (weight <= 1e-15).any():
         raise ValueError("projection has zero probability")
-    reduced = partial_trace_matrix(sigma / weight, (2, 2, 2), 2)
-    return DensityMatrix(reduced, (2, 2)), weight
+    return partial_trace_matrix(sigma / weight[..., None, None], (2, 2, 2), 2), weight

@@ -192,6 +192,12 @@ def _tomo_params(cfg: dict[str, str]) -> dict[str, Any]:
         _pop(cfg, "noise_model", str, "multinomial"),
     )
     if "state_file" in cfg:
+        both = [key for key in ("p_s", "p_l", "p_t") if key in cfg]
+        if both:
+            raise ConfigError(
+                f"keys state_file and {'/'.join(both)}: give either a state file "
+                "or p_s/p_l/p_t, not both"
+            )
         truth = _pop(cfg, "state_file", _load_state)
         return {"truth": truth, "params": None, "spec": None, "settings": settings}
     p_s, p_l = _pop(cfg, "p_s", float), _pop(cfg, "p_l", float)

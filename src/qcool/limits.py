@@ -17,11 +17,26 @@ from typing import Literal
 
 import numpy as np
 
-from .channel import ChannelParams, EnvironmentSpec, GROUND, conditional_state, project_b, tripartite_state, unconditional_state
-from .entanglement import negativity
-from .qmat import partial_transpose
+from .channel import (
+    GROUND,
+    ChannelParams,
+    conditional_state,  # importable from here, as before
+    conditional_states,
+    project_b_states,
+    tripartite_states,
+    unconditional_states,
+)
+from .entanglement import pt_spectrum, spectrum_negativity
+from .qmat import check_states
 
 BISECTION_TOL = 1e-8
+
+#: Grid points `sweep` evaluates per stacked call.  Evaluating a chunk
+#: allocates about 700 bytes of stacked temporaries per feasible point on
+#: top of its records (tracemalloc, 2048 feasible points), so the
+#: temporaries stay near 1.4 MB whatever the grid size.  On the default
+#: `surface` grid, chunks of 256 to 32768 points ran equally fast.
+SWEEP_CHUNK = 2048
 
 
 class BracketError(RuntimeError):
@@ -104,15 +119,31 @@ def _check_unit(name: str, v: float) -> None:
         raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def _min_pt_eig_uncond(p_s: float, spec: EnvironmentSpec) -> float:
-    rho = unconditional_state(p_s, spec)
-    return float(np.linalg.eigvalsh(partial_transpose(rho, 1))[0])
+def _flip_probability(p_s: np.ndarray, p_l: np.ndarray) -> np.ndarray:
+    """P_F = max(1 - P_S - P_L, 0) of each point, each triple checked as
+    `ChannelParams` checks one."""
+    p_f = np.maximum(1.0 - p_s - p_l, 0.0)
+    ok = np.abs(p_s + p_f + p_l - 1.0) <= 1e-12
+    for v in (p_s, p_f, p_l):
+        ok &= (0.0 <= v) & (v <= 1.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        ChannelParams(float(p_s[i]), float(p_f[i]), float(p_l[i]))  # raises
+    return p_f
 
 
-def _min_pt_eig_cond(p_s: float, p_l: float, spec: EnvironmentSpec) -> float:
-    params = ChannelParams(p_s, max(1.0 - p_s - p_l, 0.0), p_l)
-    heralded, _ = project_b(tripartite_state(params, spec), GROUND)
-    return float(np.linalg.eigvalsh(partial_transpose(heralded, 1))[0])
+def _min_pt_eig_uncond(p_s: np.ndarray, p_t: float) -> np.ndarray:
+    states = unconditional_states(p_s, p_t)
+    check_states(states)
+    return pt_spectrum(states)[..., 0]
+
+
+def _min_pt_eig_cond(p_s: np.ndarray, p_l: float, p_t: float) -> np.ndarray:
+    p_l = np.full_like(p_s, p_l)
+    rho8 = tripartite_states(p_s, _flip_probability(p_s, p_l), p_l, p_t)
+    heralded, _ = project_b_states(rho8, GROUND)
+    check_states(heralded)
+    return pt_spectrum(heralded)[..., 0]
 
 
 def critical_ps_numeric(
@@ -133,17 +164,18 @@ def critical_ps_numeric(
         raise ValueError(f"p_t={p_t} outside (0, 1/2]")
     if not 0.0 <= p_l < 1.0:
         raise ValueError(f"p_l={p_l} outside [0, 1)")
-    spec = EnvironmentSpec(p_t)
     if which == "unconditional":
-        f = lambda ps: _min_pt_eig_uncond(ps, spec)
+        f = lambda ps: _min_pt_eig_uncond(ps, p_t)
         lo, hi = 0.0, 1.0
     elif which == "conditional":
-        f = lambda ps: _min_pt_eig_cond(ps, p_l, spec)
+        f = lambda ps: _min_pt_eig_cond(ps, p_l, p_t)
         lo, hi = 0.0, 1.0 - p_l
     else:
         raise ValueError(f"unknown boundary kind {which!r}")
 
-    samples = [f(lo + (hi - lo) * k / 8.0) for k in range(9)]
+    # The nine bracket samples are one stack; each bisection step is a
+    # stack of one.
+    samples = f(np.array([lo + (hi - lo) * k / 8.0 for k in range(9)])).tolist()
     # Negativity (the clipped eigenvalue) must grow with P_S for the root
     # to be unique; the positive branch itself may wander.
     clipped = [min(s, 0.0) for s in samples]
@@ -156,7 +188,7 @@ def critical_ps_numeric(
         raise BracketError("never entangled over feasible P_S")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+        if f(np.array([mid]))[0] < 0.0:
             hi = mid
         else:
             lo = mid
@@ -211,37 +243,49 @@ class GridSpec:
         return [(p_t, p_l, p_s) for (p_l, p_t, p_s) in pts]
 
 
+def _evaluate(points: list[tuple[float, float, float]]) -> list[SweepRecord]:
+    """Evaluate (p_T, P_L, P_S) points: closed-form verdicts per point, the
+    heralded states of the feasible ones as one validated stack and their
+    negativities from one stacked PT spectrum."""
+    bounds = [(uncond_boundary(p_t), cond_boundary(p_t * p_l)) for p_t, p_l, _ in points]
+    p_t, p_l, p_s = np.array(points, dtype=float).reshape(-1, 3).T
+    feasible = p_s + p_l <= 1.0 + 1e-12
+    f_s, f_l = p_s[feasible], p_l[feasible]
+    states, _ = conditional_states(f_s, _flip_probability(f_s, f_l), f_l, p_t[feasible])
+    check_states(states)
+    negativities = iter(spectrum_negativity(pt_spectrum(states)).tolist())
+    return [
+        SweepRecord(
+            p_t=p_t,
+            p_s=p_s,
+            p_l=p_l,
+            p_tl=p_t * p_l,
+            verdicts=LimitVerdict(
+                unconditional_ok=p_s > ub,
+                conditional_ok=p_s > cb,
+                uncond_boundary_ps=ub,
+                cond_boundary_ps=cb,
+            ),
+            numeric_negativity=next(negativities) if ok else math.nan,
+            feasible=ok,
+        )
+        for (p_t, p_l, p_s), (ub, cb), ok in zip(points, bounds, feasible.tolist())
+    ]
+
+
 def evaluate_point(p_t: float, p_l: float, p_s: float) -> SweepRecord:
     """Evaluate closed-form verdicts and the numeric negativity of the
     heralded state at one grid point.  Infeasible points (P_S + P_L > 1)
     are flagged and carry NaN negativity."""
-    ub = uncond_boundary(p_t)
-    cb = cond_boundary(p_t * p_l)
-    verdicts = LimitVerdict(
-        unconditional_ok=p_s > ub,
-        conditional_ok=p_s > cb,
-        uncond_boundary_ps=ub,
-        cond_boundary_ps=cb,
-    )
-    feasible = p_s + p_l <= 1.0 + 1e-12
-    if feasible:
-        params = ChannelParams(p_s, max(1.0 - p_s - p_l, 0.0), p_l)
-        state, _ = conditional_state(params, EnvironmentSpec(p_t))
-        num_neg = negativity(state)
-    else:
-        num_neg = math.nan
-    return SweepRecord(
-        p_t=p_t,
-        p_s=p_s,
-        p_l=p_l,
-        p_tl=p_t * p_l,
-        verdicts=verdicts,
-        numeric_negativity=num_neg,
-        feasible=feasible,
-    )
+    return _evaluate([(p_t, p_l, p_s)])[0]
 
 
 def sweep(grid: GridSpec) -> list[SweepRecord]:
     """Evaluate every grid point, in the (P_L, p_T, P_S) order of
-    `GridSpec.points`."""
-    return [evaluate_point(*p) for p in grid.points()]
+    `GridSpec.points`, `SWEEP_CHUNK` points per stacked evaluation."""
+    points = grid.points()
+    return [
+        record
+        for start in range(0, len(points), SWEEP_CHUNK)
+        for record in _evaluate(points[start:start + SWEEP_CHUNK])
+    ]

@@ -17,11 +17,32 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
+def check_states(stack: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of a (..., d, d) stack is a
+    density matrix: finite entries, Hermitian within 1e-12 elementwise,
+    unit trace within 1e-12 and minimum eigenvalue >= -1e-10.
+
+    The positivity check is one `eigvalsh` call over the whole stack.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    # NaN fails every comparison below, so it must be caught first.
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix has non-finite entries")
+    if (np.abs(stack - stack.conj().swapaxes(-1, -2)) > HERM_TOL).any():
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    tr = np.trace(stack, axis1=-2, axis2=-1)
+    if (np.abs(tr.real - 1.0) > TRACE_TOL).any() or (np.abs(tr.imag) > TRACE_TOL).any():
+        raise ValueError("matrix does not have unit trace within 1e-12")
+    if (np.linalg.eigvalsh(stack)[..., 0] < -PSD_TOL).any():
+        raise ValueError("matrix is not positive semidefinite (min eig < -1e-10)")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density matrix with declared subsystem dimensions.
 
-    Construction checks hermiticity (<= 1e-12 elementwise), unit trace
+    Construction runs `check_states` on the matrix as a stack of one:
+    finite entries, hermiticity (<= 1e-12 elementwise), unit trace
     (<= 1e-12) and positive semidefiniteness (min eigenvalue >= -1e-10).
     The underlying array is made read-only.
     """
@@ -38,12 +59,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {data.shape} does not match dims {self.dims}"
             )
-        if np.abs(data - data.conj().T).max() > HERM_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(data).real - 1.0) > TRACE_TOL or abs(np.trace(data).imag) > TRACE_TOL:
-            raise ValueError("matrix does not have unit trace within 1e-12")
-        if np.linalg.eigvalsh(data)[0] < -PSD_TOL:
-            raise ValueError("matrix is not positive semidefinite (min eig < -1e-10)")
+        check_states(data[np.newaxis])
         data.setflags(write=False)
 
     @property
@@ -55,8 +71,16 @@ class DensityMatrix:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; tensor dims concatenate left to right."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of matrices; tensor dims concatenate left to right.
+
+    Leading axes are stack axes and broadcast, so a (2, 2) operator times
+    an (N, 2, 2) stack gives the (N, 4, 4) stack of products.  Each entry
+    is the single product a[i, j] * b[k, l], as in `np.kron`.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _check_index(dims, subsystem_index):
@@ -67,14 +91,18 @@ def _check_index(dims, subsystem_index):
 
 
 def partial_trace_matrix(mat: np.ndarray, dims, subsystem_index: int) -> np.ndarray:
-    """Trace out one subsystem of a raw matrix, keeping the original ordering."""
+    """Trace out one subsystem of a raw matrix, or of every matrix in a
+    (..., d, d) stack, keeping the original ordering."""
     _check_index(dims, subsystem_index)
     dims = tuple(dims)
     n = len(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    t = np.trace(t, axis1=subsystem_index, axis2=n + subsystem_index)
+    mat = np.asarray(mat, dtype=complex)
+    lead = mat.shape[:-2]
+    k = len(lead)
+    t = mat.reshape(lead + dims + dims)
+    t = np.trace(t, axis1=k + subsystem_index, axis2=k + n + subsystem_index)
     d = int(np.prod(dims)) // dims[subsystem_index]
-    return t.reshape(d, d)
+    return t.reshape(lead + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, subsystem_index: int) -> DensityMatrix:
@@ -85,18 +113,20 @@ def partial_trace(rho: DensityMatrix, subsystem_index: int) -> DensityMatrix:
 
 
 def partial_transpose_matrix(mat: np.ndarray, dims, subsystem_index: int) -> np.ndarray:
-    """Transpose the indices of one subsystem only."""
+    """Transpose the indices of one subsystem only, of a raw matrix or of
+    every matrix in a (..., d, d) stack."""
     _check_index(dims, subsystem_index)
     dims = tuple(dims)
     n = len(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    axes = list(range(2 * n))
-    axes[subsystem_index], axes[n + subsystem_index] = (
-        axes[n + subsystem_index],
-        axes[subsystem_index],
-    )
+    mat = np.asarray(mat, dtype=complex)
+    lead = mat.shape[:-2]
+    k = len(lead)
+    t = mat.reshape(lead + dims + dims)
+    axes = list(range(k + 2 * n))
+    i, j = k + subsystem_index, k + n + subsystem_index
+    axes[i], axes[j] = axes[j], axes[i]
     d = int(np.prod(dims))
-    return t.transpose(axes).reshape(d, d)
+    return t.transpose(axes).reshape(lead + (d, d))
 
 
 def partial_transpose(rho: DensityMatrix, subsystem_index: int) -> np.ndarray:

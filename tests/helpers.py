@@ -6,6 +6,8 @@ package code so they can serve as oracles.
 
 import numpy as np
 
+from qcool.channel import project_b
+from qcool.limits import LimitVerdict, SweepRecord, cond_boundary, uncond_boundary
 from qcool.qmat import DensityMatrix
 
 
@@ -82,3 +84,93 @@ def naive_partial_transpose(mat, dims, k) -> np.ndarray:
             row2[k], col2[k] = col2[k], row2[k]
             out[flat[tuple(row2)], flat[tuple(col2)]] = mat[flat[tuple(row)], flat[tuple(col)]]
     return out
+
+
+# Reference channel states: the closed forms entry by entry with np.kron and
+# explicit index loops, the same arithmetic in the same order as the
+# single-state builders had before they were stacked.
+
+_SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+_SINGLET = np.outer(_SINGLET_VEC, _SINGLET_VEC.conj())
+_HALF_I2 = np.eye(2, dtype=complex) / 2.0
+_EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def _env(p_t):
+    return np.diag([1.0 - p_t, p_t]).astype(complex)
+
+
+def reference_unconditional(p_s, p_t) -> DensityMatrix:
+    rho = p_s * _SINGLET + (1.0 - p_s) * np.kron(_HALF_I2, _env(p_t))
+    return DensityMatrix(rho, (2, 2))
+
+
+def reference_tripartite(p_s, p_f, p_l, p_t) -> DensityMatrix:
+    e = _env(p_t)
+    term_f = np.zeros((8, 8), dtype=complex)  # singlet on (R, B), E on A
+    for r, a, b, r2, a2, b2 in np.ndindex(2, 2, 2, 2, 2, 2):
+        term_f[4 * r + 2 * a + b, 4 * r2 + 2 * a2 + b2] = (
+            _SINGLET[2 * r + b, 2 * r2 + b2] * e[a, a2]
+        )
+    rho = (
+        p_s * np.kron(_SINGLET, e)
+        + p_f * term_f
+        + p_l * np.kron(np.kron(_HALF_I2, e), e)
+    )
+    return DensityMatrix(rho, (2, 2, 2))
+
+
+def reference_conditional(p_s, p_f, p_l, p_t) -> tuple[DensityMatrix, float]:
+    e = _env(p_t)
+    weight = (1.0 - p_t) * (1.0 - p_f) + p_f / 2.0
+    sigma = (1.0 - p_t) * (
+        p_s * _SINGLET + p_l * np.kron(_HALF_I2, e)
+    ) + 0.5 * p_f * np.kron(_EXCITED, e)
+    return DensityMatrix(sigma / weight, (2, 2)), weight
+
+
+def reference_pt_spectrum(mat) -> np.ndarray:
+    """Ascending spectrum of the index-loop partial transpose on qubit 1."""
+    return np.linalg.eigvalsh(naive_partial_transpose(mat, (2, 2), 1))
+
+
+def reference_negativity(rho: DensityMatrix) -> float:
+    lam = reference_pt_spectrum(rho.data)
+    return float(-lam[lam < 0].sum() + 0.0)
+
+
+def reference_critical_ps(p_t, p_l=0.0, which="unconditional", tol=1e-8) -> float:
+    """Scalar bisection oracle for lanes whose bracket has a sign change:
+    halvings of the bracket, each trial point one `DensityMatrix`
+    (projected with `project_b` in the conditional case)."""
+    if which == "unconditional":
+        f = lambda ps: reference_pt_spectrum(reference_unconditional(ps, p_t).data)[0]
+        lo, hi = 0.0, 1.0
+    else:
+        def f(ps):
+            rho8 = reference_tripartite(ps, max(1.0 - ps - p_l, 0.0), p_l, p_t)
+            return reference_pt_spectrum(project_b(rho8, _GROUND)[0].data)[0]
+        lo, hi = 0.0, 1.0 - p_l
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_sweep_record(p_t, p_l, p_s) -> SweepRecord:
+    """One grid point on its own: the closed-form verdicts and, where
+    feasible, the negativity of the reference heralded state."""
+    ub, cb = uncond_boundary(p_t), cond_boundary(p_t * p_l)
+    feasible = p_s + p_l <= 1.0 + 1e-12
+    if feasible:
+        rho, _ = reference_conditional(p_s, max(1.0 - p_s - p_l, 0.0), p_l, p_t)
+        neg = reference_negativity(rho)
+    else:
+        neg = float("nan")
+    return SweepRecord(
+        p_t, p_s, p_l, p_t * p_l, LimitVerdict(p_s > ub, p_s > cb, ub, cb), neg, feasible
+    )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcool.channel import (
     ChannelParams,
@@ -10,16 +12,22 @@ from qcool.channel import (
     EXCITED,
     ThermalPoint,
     conditional_state,
+    conditional_states,
     env_state,
     project_b,
+    project_b_states,
     projector,
     singlet,
     thermal_p,
     tripartite_state,
+    tripartite_states,
     unconditional_state,
+    unconditional_states,
 )
 from qcool.entanglement import negativity
 from qcool.qmat import kron, partial_trace, partial_transpose
+
+from helpers import reference_conditional, reference_tripartite, reference_unconditional
 
 I2 = np.eye(2, dtype=complex)
 
@@ -267,3 +275,39 @@ class TestOptimalProjector:
             n_ground = negativity(project_b(rho8, GROUND)[0])
             n_excited = negativity(project_b(rho8, EXCITED)[0])
             assert abs(n_ground - n_excited) <= 1e-10
+
+
+#: A channel point (P_S, P_F, P_L, p_T): P_S and a share of the rest for
+#: P_L, P_F closing the sum, p_T on its whole range.
+CHANNEL_POINTS = st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5)
+).map(lambda t: (t[0], max(1.0 - t[0] - (1.0 - t[0]) * t[1], 0.0), (1.0 - t[0]) * t[1], t[2]))
+
+
+class TestStackedBuilders:
+    """The stacked builders give, matrix by matrix, the same bits as the
+    single-state builders and as the reference arithmetic."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(CHANNEL_POINTS, min_size=1, max_size=12))
+    def test_stack_equals_single_states(self, points):
+        p_s, p_f, p_l, p_t = np.array(points).T
+        cond, weights = conditional_states(p_s, p_f, p_l, p_t)
+        tri = tripartite_states(p_s, p_f, p_l, p_t)
+        uncond = unconditional_states(p_s, p_t)
+        heralded, h_weights = project_b_states(tri, GROUND)
+        for i, point in enumerate(points):
+            params, spec = ChannelParams(*point[:3]), EnvironmentSpec(point[3])
+            single, weight = conditional_state(params, spec)
+            ref, ref_weight = reference_conditional(*point)
+            assert cond[i].tobytes() == single.data.tobytes() == ref.data.tobytes()
+            assert weights[i] == weight == ref_weight
+            rho8 = tripartite_state(params, spec)
+            assert tri[i].tobytes() == rho8.data.tobytes()
+            assert tri[i].tobytes() == reference_tripartite(*point).data.tobytes()
+            rho = unconditional_state(point[0], spec)
+            assert uncond[i].tobytes() == rho.data.tobytes()
+            assert uncond[i].tobytes() == reference_unconditional(point[0], point[3]).data.tobytes()
+            projected, p_weight = project_b(rho8, GROUND)
+            assert heralded[i].tobytes() == projected.data.tobytes()
+            assert h_weights[i] == p_weight

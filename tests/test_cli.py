@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from qcool.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     GRID_KEYS,
+    LIMITS_COLUMNS,
     MAX_GRID_POINTS,
     RATE_KEYS,
     ConfigError,
@@ -17,7 +20,11 @@ from qcool.cli import (
     main,
     parse_config,
     serialize_config,
+    write_rows,
 )
+from qcool.limits import SWEEP_CHUNK
+
+from helpers import reference_sweep_record
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -208,6 +215,22 @@ class TestLimitsCommand:
             "uncond_ok", "cond_ok", "numeric_negativity", "feasible",
         }
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_chunked_surface_equals_per_point_reference(self, tmp_path, fmt):
+        axes = {"p_t": (0.005, 0.5, 16), "p_l": (0.0, 0.95, 20), "p_s": (0.0, 1.0, 21)}
+        cfg = write_cfg(tmp_path, "".join(f"{k} = {lo}:{hi}:{n}\n" for k, (lo, hi, n) in axes.items()))
+        out = tmp_path / f"surface.{fmt}"
+        assert main(["surface", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_OK
+        p_t, p_l, p_s = ([float(v) for v in np.linspace(*axes[k])] for k in ("p_t", "p_l", "p_s"))
+        points = sorted(itertools.product(p_l, p_t, p_s))
+        # several full chunks, a partial last one, and infeasible points
+        assert len(points) > 3 * SWEEP_CHUNK and len(points) % SWEEP_CHUNK
+        records = [reference_sweep_record(t, l, s) for l, t, s in points]
+        assert not all(r.feasible for r in records)
+        want = tmp_path / f"reference.{fmt}"
+        write_rows(str(want), fmt, LIMITS_COLUMNS, records)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_probability_columns_in_unit_interval(self, tmp_path):
         cfg = write_cfg(tmp_path, "p_t = 0:0.5:4\np_l = 0:1:4\np_s = 0:1:4\n")
         out = tmp_path / "lim.csv"
@@ -339,6 +362,22 @@ class TestTomoCommand:
         out = str(tmp_path / "t.csv")
         assert main(["tomo", "--config", cfg, "--seed", "1", "--out", out]) == EXIT_CONFIG
         assert "shots_per_setting" in capsys.readouterr().err
+
+    def test_non_finite_state_file(self, tmp_path, capsys):
+        state = tmp_path / "nan.txt"
+        rows = ["nan 0 0 0", "0 0.5 0 0", "0 0 0.5 0", "0 0 0 0"]
+        state.write_text("\n".join(rows) + "\n")
+        cfg = write_cfg(tmp_path, f"state_file = {state}\n")
+        assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+        assert "state_file" in capsys.readouterr().err
+
+    def test_both_input_forms_rejected(self, tmp_path, capsys):
+        state = tmp_path / "mixed.txt"
+        state.write_text("\n".join(["0.25 0 0 0", "0 0.25 0 0", "0 0 0.25 0", "0 0 0 0.25"]) + "\n")
+        cfg = write_cfg(tmp_path, f"state_file = {state}\np_s = 0.4\np_l = 0.3\np_t = 0.2\n")
+        assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "state_file" in err and "not both" in err and "unknown key" not in err
 
     def test_malformed_state_file(self, tmp_path):
         state = tmp_path / "junk.txt"

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcool.channel import EnvironmentSpec, singlet, unconditional_state
-from qcool.entanglement import is_entangled, negativity, report
+from qcool.entanglement import is_entangled, negativity, pt_spectrum, report
 from qcool.limits import uncond_boundary
 from qcool.qmat import DensityMatrix, kron, partial_transpose
 
-from helpers import random_density_matrix, random_product_dm, random_unitary
+from helpers import (
+    random_density_matrix,
+    random_product_dm,
+    random_unitary,
+    reference_negativity,
+    reference_pt_spectrum,
+)
 
 
 class TestNegativity:
@@ -94,3 +102,22 @@ class TestProperties:
         analytic = grid_ps > boundary
         numeric = min_eigs < -1e-9
         assert np.array_equal(analytic, numeric)
+
+
+class TestStackedSpectrum:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16))
+    def test_stack_equals_index_loop_spectra(self, seed, n):
+        rng = np.random.default_rng(seed)
+        states = [random_density_matrix(rng, (2, 2)) for _ in range(n)]
+        if n > 1:
+            states[1] = singlet()
+        spectra = pt_spectrum(np.array([rho.data for rho in states]))
+        assert spectra.shape == (n, 4)
+        for lam, rho in zip(spectra, states):
+            assert np.array_equal(lam, reference_pt_spectrum(rho.data))
+            assert negativity(rho) == reference_negativity(rho)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            pt_spectrum(np.zeros((3, 8, 8)))

@@ -19,6 +19,8 @@ from qcool.limits import (
     uncond_boundary,
 )
 
+from helpers import reference_critical_ps
+
 
 class TestUncondBoundary:
     def test_zero_excitation(self):
@@ -140,6 +142,17 @@ class TestCriticalPsNumeric:
     def test_never_entangled_reports_bracket_error(self):
         with pytest.raises(BracketError, match="never entangled"):
             critical_ps_numeric(0.5, 0.9, which="conditional")
+
+    @pytest.mark.parametrize("p_t", [0.0025, 0.01, 0.137, 0.31, 0.5])
+    def test_unconditional_equals_scalar_reference(self, p_t):
+        assert critical_ps_numeric(p_t) == reference_critical_ps(p_t)
+
+    @pytest.mark.parametrize("p_t, p_l", [
+        (0.01, 0.012), (0.01, 0.6), (0.2, 0.3), (0.37, 0.05), (0.5, 0.012), (0.5, 0.6),
+    ])
+    def test_conditional_equals_scalar_reference(self, p_t, p_l):
+        got = critical_ps_numeric(p_t, p_l, which="conditional")
+        assert got == reference_critical_ps(p_t, p_l, which="conditional")
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcool.channel import EnvironmentSpec, env_state, singlet, tripartite_state, ChannelParams, unconditional_state
 from qcool.qmat import (
     DensityMatrix,
+    check_states,
     fidelity,
     herm_eigvals,
     kron,
@@ -45,6 +48,13 @@ class TestDensityMatrix:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m, (2,))
 
     def test_data_is_read_only(self):
         dm = DensityMatrix(np.diag([0.5, 0.5]), (2,))
@@ -245,3 +255,58 @@ def test_tripartite_partial_trace_matches_module_builder():
     reduced = partial_trace(tripartite_state(params, spec), 2)
     expected = unconditional_state(params.p_s, spec)
     assert np.abs(reduced.data - expected.data).max() <= 1e-12
+
+
+def _corrupt(mat, kind):
+    out = mat.copy()
+    if kind == "nan":
+        out[1, 1] = np.nan
+    elif kind == "non-hermitian":
+        out[0, 1] += 1e-9
+    else:  # not PSD: a trace-one matrix with a -0.1 eigenvalue
+        out = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
+    return out
+
+
+class TestCheckStates:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(0, 11),
+        st.sampled_from(["nan", "non-hermitian", "not psd"]),
+    )
+    def test_one_bad_matrix_rejects_the_stack(self, seed, n, k, kind):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_density_matrix(rng, (2, 2)).data for _ in range(n)])
+        check_states(stack)
+        stack[k % n] = _corrupt(stack[k % n], kind)
+        match = {"nan": "non-finite", "non-hermitian": "Hermitian", "not psd": "semidefinite"}
+        with pytest.raises(ValueError, match=match[kind]):
+            check_states(stack)
+
+    def test_empty_stack_accepted(self):
+        check_states(np.zeros((0, 4, 4), dtype=complex))
+
+    def test_rejects_bad_trace_in_stack(self):
+        stack = np.array([np.eye(4) / 4, np.eye(4) / 2])
+        with pytest.raises(ValueError, match="trace"):
+            check_states(stack)
+
+
+class TestStackedKernels:
+    def test_stacks_match_single_matrices(self):
+        rng = np.random.default_rng(5)
+        rhos = [random_density_matrix(rng, (2, 2, 2)).data for _ in range(5)]
+        stack = np.array(rhos)
+        for k in range(3):
+            traced = partial_trace_matrix(stack, (2, 2, 2), k)
+            transposed = partial_transpose_matrix(stack, (2, 2, 2), k)
+            for i, rho in enumerate(rhos):
+                assert np.array_equal(traced[i], naive_partial_trace(rho, (2, 2, 2), k))
+                assert np.array_equal(transposed[i], naive_partial_transpose(rho, (2, 2, 2), k))
+        e = np.array([np.diag([1.0 - p, p]) for p in (0.0, 0.2, 0.5)])
+        products = kron(I2 / 2, e)
+        assert products.shape == (3, 4, 4)
+        for i in range(3):
+            assert np.array_equal(products[i], np.kron(I2 / 2, e[i]))
