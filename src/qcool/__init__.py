@@ -6,7 +6,7 @@ from .qmat import (
     fidelity,
     herm_eigvals,
     kron,
-    partial_trace,
+    partial_trace_matrix,
     partial_transpose,
 )
 from .channel import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, kron, partial_trace_matrix
+from .qmat import DensityMatrix, _check_hermitian, _tensor_view, kron, partial_trace_matrix
 
 GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -31,18 +31,15 @@ _SINGLET = np.outer(_SINGLET_VEC, _SINGLET_VEC.conj())
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Thermal excitation probability plus basis labels (ground, excited)."""
+    """Thermal excitation probability of each environment qubit."""
 
     p_t: float
-    basis: tuple[str, str] = ("H", "V")
 
     def __post_init__(self):
         if not (isinstance(self.p_t, (int, float)) and math.isfinite(self.p_t)):
             raise ValueError("p_t must be a finite number")
         if not 0.0 <= self.p_t <= 0.5:
             raise ValueError(f"p_t={self.p_t} outside [0, 1/2]")
-        if len(self.basis) != 2 or self.basis[0] == self.basis[1]:
-            raise ValueError("basis must be two distinct labels")
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,10 @@ def unconditional_state(p_s: float, spec: EnvironmentSpec) -> DensityMatrix:
 
 
 def _reorder_subsystems(mat: np.ndarray, dims: tuple[int, ...], perm) -> np.ndarray:
-    lead = mat.shape[:-2]
+    t, lead = _tensor_view(mat, dims, *perm)
     k, n = len(lead), len(dims)
-    t = mat.reshape(lead + dims + dims)
     axes = list(range(k)) + [k + p for p in perm] + [k + n + p for p in perm]
-    d = int(np.prod(dims))
-    return t.transpose(axes).reshape(lead + (d, d))
+    return t.transpose(axes).reshape(mat.shape)
 
 
 def tripartite_states(p_s, p_f, p_l, p_t) -> np.ndarray:
@@ -195,18 +190,15 @@ def project_b(
 ) -> tuple[DensityMatrix, float]:
     """Project subsystem B of an R,A,B state and trace it out.
 
-    `proj` must be a rank-1 orthogonal projector (within 1e-12).  Returns
+    `proj` must be a finite rank-1 orthogonal projector (within 1e-12).  Returns
     the normalized R-A state and the pre-normalization trace, i.e. the
     heralding probability.
     """
     proj = np.asarray(proj, dtype=complex)
     if proj.shape != (2, 2):
         raise ValueError("projector must be 2x2")
-    if (
-        np.abs(proj - proj.conj().T).max() > 1e-12
-        or np.abs(proj @ proj - proj).max() > 1e-12
-        or abs(np.trace(proj).real - 1.0) > 1e-12
-    ):
+    _check_hermitian(proj, 1e-12)
+    if np.abs(proj @ proj - proj).max() > 1e-12 or abs(np.trace(proj).real - 1.0) > 1e-12:
         raise ValueError("projector must be a rank-1 orthogonal projector")
     if rho8.dims != (2, 2, 2):
         raise ValueError("state must have dims (2, 2, 2)")

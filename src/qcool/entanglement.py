@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, partial_transpose_matrix
+from .qmat import DensityMatrix, partial_transpose
 
 #: Default slack below zero that separates genuine negativity from
 #: eigensolver noise on 4x4 problems.
@@ -32,7 +32,7 @@ def pt_spectrum(states: np.ndarray) -> np.ndarray:
     states = np.asarray(states, dtype=complex)
     if states.shape[-2:] != (4, 4):
         raise ValueError(f"expected two-qubit matrices, got shape {states.shape}")
-    return np.linalg.eigvalsh(partial_transpose_matrix(states, (2, 2), 1))
+    return np.linalg.eigvalsh(partial_transpose(states, (2, 2), 1))
 
 
 def spectrum_negativity(lam: np.ndarray) -> np.ndarray:
@@ -41,27 +41,25 @@ def spectrum_negativity(lam: np.ndarray) -> np.ndarray:
     return -np.where(lam < 0.0, lam, 0.0).sum(axis=-1) + 0.0
 
 
-def _pt_spectrum(rho: DensityMatrix) -> np.ndarray:
+def report(rho: DensityMatrix, tol: float = VERDICT_TOL) -> EntanglementReport:
+    """Minimum PT eigenvalue, negativity and verdict of a two-qubit state,
+    all from one PT spectrum."""
     if rho.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
-    return pt_spectrum(rho.data)
-
-
-def negativity(rho: DensityMatrix) -> float:
-    """Absolute sum of negative PT eigenvalues; 0 for separable states,
-    1/2 for maximally entangled ones."""
-    return float(spectrum_negativity(_pt_spectrum(rho)))
-
-
-def is_entangled(rho: DensityMatrix, tol: float = VERDICT_TOL) -> bool:
-    """True iff the minimum PT eigenvalue lies below -tol."""
-    return bool(_pt_spectrum(rho)[0] < -tol)
-
-
-def report(rho: DensityMatrix, tol: float = VERDICT_TOL) -> EntanglementReport:
-    lam = _pt_spectrum(rho)
+    lam = pt_spectrum(rho.data)
     return EntanglementReport(
         min_pt_eigenvalue=float(lam[0]),
         negativity=float(spectrum_negativity(lam)),
         entangled=bool(lam[0] < -tol),
     )
+
+
+def negativity(rho: DensityMatrix) -> float:
+    """Absolute sum of negative PT eigenvalues; 0 for separable states,
+    1/2 for maximally entangled ones."""
+    return report(rho).negativity
+
+
+def is_entangled(rho: DensityMatrix, tol: float = VERDICT_TOL) -> bool:
+    """True iff the minimum PT eigenvalue lies below -tol."""
+    return report(rho, tol).entangled

@@ -119,11 +119,16 @@ def _check_unit(name: str, v: float) -> None:
         raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def _flip_probability(p_s: np.ndarray, p_l: np.ndarray) -> np.ndarray:
-    """P_F = max(1 - P_S - P_L, 0) of each point, each triple checked as
-    `ChannelParams` checks one."""
+def _closure(p_s: np.ndarray, p_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_F = max(1 - P_S - P_L, 0) of each point, and whether the triple
+    sums to 1 within the 1e-12 that `ChannelParams` allows."""
     p_f = np.maximum(1.0 - p_s - p_l, 0.0)
-    ok = np.abs(p_s + p_f + p_l - 1.0) <= 1e-12
+    return p_f, np.abs(p_s + p_f + p_l - 1.0) <= 1e-12
+
+
+def _flip_probability(p_s: np.ndarray, p_l: np.ndarray) -> np.ndarray:
+    """P_F of each point, each triple checked as `ChannelParams` checks one."""
+    p_f, ok = _closure(p_s, p_l)
     for v in (p_s, p_f, p_l):
         ok &= (0.0 <= v) & (v <= 1.0)
     if not ok.all():
@@ -249,7 +254,9 @@ def _evaluate(points: list[tuple[float, float, float]]) -> list[SweepRecord]:
     negativities from one stacked PT spectrum."""
     bounds = [(uncond_boundary(p_t), cond_boundary(p_t * p_l)) for p_t, p_l, _ in points]
     p_t, p_l, p_s = np.array(points, dtype=float).reshape(-1, 3).T
-    feasible = p_s + p_l <= 1.0 + 1e-12
+    # Feasible means the closure passes `ChannelParams`'s check, so
+    # P_S + P_L may exceed 1 by at most 1e-12 after rounding.
+    feasible = _closure(p_s, p_l)[1]
     f_s, f_l = p_s[feasible], p_l[feasible]
     states, _ = conditional_states(f_s, _flip_probability(f_s, f_l), f_l, p_t[feasible])
     check_states(states)
@@ -275,8 +282,9 @@ def _evaluate(points: list[tuple[float, float, float]]) -> list[SweepRecord]:
 
 def evaluate_point(p_t: float, p_l: float, p_s: float) -> SweepRecord:
     """Evaluate closed-form verdicts and the numeric negativity of the
-    heralded state at one grid point.  Infeasible points (P_S + P_L > 1)
-    are flagged and carry NaN negativity."""
+    heralded state at one grid point.  Infeasible points (P_S + P_L > 1
+    beyond the 1e-12 closure tolerance) are flagged and carry NaN
+    negativity."""
     return _evaluate([(p_t, p_l, p_s)])[0]
 
 

@@ -17,6 +17,16 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
+def _check_hermitian(stack, tol: float) -> None:
+    """Raise ValueError unless every entry of a matrix or (..., d, d) stack
+    is finite and each matrix is Hermitian within `tol` elementwise."""
+    # NaN fails every comparison, so it must be caught first.
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix has non-finite entries")
+    if (np.abs(stack - stack.conj().swapaxes(-1, -2)) > tol).any():
+        raise ValueError(f"matrix is not Hermitian within {tol:g}")
+
+
 def check_states(stack: np.ndarray) -> None:
     """Raise ValueError unless every matrix of a (..., d, d) stack is a
     density matrix: finite entries, Hermitian within 1e-12 elementwise,
@@ -25,11 +35,7 @@ def check_states(stack: np.ndarray) -> None:
     The positivity check is one `eigvalsh` call over the whole stack.
     """
     stack = np.asarray(stack, dtype=complex)
-    # NaN fails every comparison below, so it must be caught first.
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix has non-finite entries")
-    if (np.abs(stack - stack.conj().swapaxes(-1, -2)) > HERM_TOL).any():
-        raise ValueError("matrix is not Hermitian within 1e-12")
+    _check_hermitian(stack, HERM_TOL)
     tr = np.trace(stack, axis1=-2, axis2=-1)
     if (np.abs(tr.real - 1.0) > TRACE_TOL).any() or (np.abs(tr.imag) > TRACE_TOL).any():
         raise ValueError("matrix does not have unit trace within 1e-12")
@@ -62,13 +68,6 @@ class DensityMatrix:
         check_states(data[np.newaxis])
         data.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def subsystem_count(self) -> int:
-        return len(self.dims)
-
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of matrices; tensor dims concatenate left to right.
@@ -83,67 +82,46 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _check_index(dims, subsystem_index):
-    if not 0 <= subsystem_index < len(dims):
-        raise IndexError(
-            f"subsystem index {subsystem_index} out of range for dims {tuple(dims)}"
-        )
+def _tensor_view(mat: np.ndarray, dims, *subsystems: int) -> tuple[np.ndarray, tuple]:
+    """A matrix or (..., d, d) stack as a tensor with axes lead + dims + dims,
+    after checking the subsystem indices; returns it and the lead shape."""
+    dims = tuple(dims)
+    for k in subsystems:
+        if not 0 <= k < len(dims):
+            raise IndexError(f"subsystem index {k} out of range for dims {dims}")
+    mat = np.asarray(mat, dtype=complex)
+    lead = mat.shape[:-2]
+    return mat.reshape(lead + dims + dims), lead
 
 
 def partial_trace_matrix(mat: np.ndarray, dims, subsystem_index: int) -> np.ndarray:
-    """Trace out one subsystem of a raw matrix, or of every matrix in a
+    """Trace out one subsystem of a matrix, or of every matrix in a
     (..., d, d) stack, keeping the original ordering."""
-    _check_index(dims, subsystem_index)
-    dims = tuple(dims)
-    n = len(dims)
-    mat = np.asarray(mat, dtype=complex)
-    lead = mat.shape[:-2]
-    k = len(lead)
-    t = mat.reshape(lead + dims + dims)
+    t, lead = _tensor_view(mat, dims, subsystem_index)
+    k, n = len(lead), len(dims)
     t = np.trace(t, axis1=k + subsystem_index, axis2=k + n + subsystem_index)
     d = int(np.prod(dims)) // dims[subsystem_index]
     return t.reshape(lead + (d, d))
 
 
-def partial_trace(rho: DensityMatrix, subsystem_index: int) -> DensityMatrix:
-    """Reduced state after tracing out the given subsystem."""
-    reduced = partial_trace_matrix(rho.data, rho.dims, subsystem_index)
-    dims = rho.dims[:subsystem_index] + rho.dims[subsystem_index + 1:]
-    return DensityMatrix(reduced, dims)
-
-
-def partial_transpose_matrix(mat: np.ndarray, dims, subsystem_index: int) -> np.ndarray:
-    """Transpose the indices of one subsystem only, of a raw matrix or of
-    every matrix in a (..., d, d) stack."""
-    _check_index(dims, subsystem_index)
-    dims = tuple(dims)
-    n = len(dims)
-    mat = np.asarray(mat, dtype=complex)
-    lead = mat.shape[:-2]
-    k = len(lead)
-    t = mat.reshape(lead + dims + dims)
-    axes = list(range(k + 2 * n))
-    i, j = k + subsystem_index, k + n + subsystem_index
-    axes[i], axes[j] = axes[j], axes[i]
+def partial_transpose(mat: np.ndarray, dims, subsystem_index: int) -> np.ndarray:
+    """Transpose the indices of one subsystem only, of a matrix or of every
+    matrix in a (..., d, d) stack.  Of a state the result is Hermitian and
+    trace-preserving but not necessarily positive (that is the whole point)."""
+    t, lead = _tensor_view(mat, dims, subsystem_index)
+    k, n = len(lead), len(dims)
     d = int(np.prod(dims))
-    return t.transpose(axes).reshape(lead + (d, d))
-
-
-def partial_transpose(rho: DensityMatrix, subsystem_index: int) -> np.ndarray:
-    """Partial transpose of a state; Hermitian and trace-preserving but
-    not necessarily positive (that is the whole point)."""
-    return partial_transpose_matrix(rho.data, rho.dims, subsystem_index)
+    return t.swapaxes(k + subsystem_index, k + n + subsystem_index).reshape(lead + (d, d))
 
 
 def herm_eigvals(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending.
 
-    Raises ValueError if the input deviates from Hermitian by more
-    than 1e-10 elementwise.
+    Raises ValueError if the input has non-finite entries or deviates
+    from Hermitian by more than 1e-10 elementwise.
     """
     a = np.asarray(a, dtype=complex)
-    if np.abs(a - a.conj().T).max() > 1e-10:
-        raise ValueError("input is not Hermitian within 1e-10")
+    _check_hermitian(a, 1e-10)
     return np.linalg.eigvalsh(a)
 
 

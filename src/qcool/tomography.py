@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, kron
+from .qmat import DensityMatrix, _check_hermitian, kron
 
 _SQ2 = math.sqrt(2.0)
 
@@ -197,8 +197,7 @@ def project_to_physical(m: np.ndarray) -> DensityMatrix:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(m - m.conj().T).max() > 1e-10:
-        raise ValueError("input is not Hermitian within 1e-10")
+    _check_hermitian(m, 1e-10)
     if abs(np.trace(m).real - 1.0) > 1e-9:
         raise ValueError("input trace must be 1")
     vals, vecs = np.linalg.eigh(m)

@@ -6,7 +6,7 @@ package code so they can serve as oracles.
 
 import numpy as np
 
-from qcool.channel import project_b
+from qcool.channel import ChannelParams, project_b
 from qcool.limits import LimitVerdict, SweepRecord, cond_boundary, uncond_boundary
 from qcool.qmat import DensityMatrix
 
@@ -165,10 +165,14 @@ def reference_sweep_record(p_t, p_l, p_s) -> SweepRecord:
     """One grid point on its own: the closed-form verdicts and, where
     feasible, the negativity of the reference heralded state."""
     ub, cb = uncond_boundary(p_t), cond_boundary(p_t * p_l)
-    feasible = p_s + p_l <= 1.0 + 1e-12
+    p_f = max(1.0 - p_s - p_l, 0.0)
+    try:  # feasible: `ChannelParams` accepts the closure
+        ChannelParams(p_s, p_f, p_l)
+        feasible = True
+    except ValueError:
+        feasible = False
     if feasible:
-        rho, _ = reference_conditional(p_s, max(1.0 - p_s - p_l, 0.0), p_l, p_t)
-        neg = reference_negativity(rho)
+        neg = reference_negativity(reference_conditional(p_s, p_f, p_l, p_t)[0])
     else:
         neg = float("nan")
     return SweepRecord(

@@ -44,7 +44,7 @@ def check(criterion: int, description: str, passed: bool):
 
 
 def min_pt_eigenvalue(rho):
-    return herm_eigvals(partial_transpose(rho, 1))[0]
+    return herm_eigvals(partial_transpose(rho.data, rho.dims, 1))[0]
 
 
 def test_criterion_1_unconditional_threshold():

@@ -231,6 +231,15 @@ class TestLimitsCommand:
         write_rows(str(want), fmt, LIMITS_COLUMNS, records)
         assert out.read_bytes() == want.read_bytes()
 
+    def test_closure_edge_point_flagged_infeasible(self, tmp_path):
+        cfg = write_cfg(tmp_path, "p_t = 0.2\np_l = 0.5\np_s = 0.500000000001\n")
+        out = tmp_path / "lim.csv"
+        assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, row = out.read_text().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert cols["feasible"] == "false"
+        assert cols["numeric_negativity"] == "nan"
+
     def test_probability_columns_in_unit_interval(self, tmp_path):
         cfg = write_cfg(tmp_path, "p_t = 0:0.5:4\np_l = 0:1:4\np_s = 0:1:4\n")
         out = tmp_path / "lim.csv"

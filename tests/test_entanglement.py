@@ -55,7 +55,7 @@ class TestReport:
         for _ in range(20):
             rho = random_density_matrix(rng, (2, 2))
             rep = report(rho)
-            lam = np.linalg.eigvalsh(partial_transpose(rho, 1))
+            lam = np.linalg.eigvalsh(partial_transpose(rho.data, rho.dims, 1))
             assert abs(rep.min_pt_eigenvalue - lam[0]) <= 1e-14
             assert abs(rep.negativity - max(0.0, -lam[lam < 0].sum())) <= 1e-14
             assert rep.entangled == (lam[0] < -1e-9)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcool.limits import (
@@ -232,12 +232,21 @@ class TestSweep:
         bad = [r for r in records if not r.feasible][0]
         assert math.isnan(bad.numeric_negativity)
 
+    @pytest.mark.parametrize("p_t, p_l, p_s", [(0.2, 0.5, 0.500000000001), (0.0, 1.0, 1e-12)])
+    def test_closure_edge_is_infeasible(self, p_t, p_l, p_s):
+        # P_S + P_L rounds to within 1e-12 of 1, but the closure P_F = 0
+        # misses `ChannelParams`'s 1e-12 sum check by rounding.
+        rec = evaluate_point(p_t, p_l, p_s)
+        assert not rec.feasible
+        assert math.isnan(rec.numeric_negativity)
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3),
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     )
+    @example(p_t=[0.0], p_l=[1.0], p_s=[1e-12])
     def test_unsorted_axes_evaluated_in_lexicographic_order(self, p_t, p_l, p_s):
         expected = [
             evaluate_point(t, l, s) for l, t, s in sorted(itertools.product(p_l, p_t, p_s))

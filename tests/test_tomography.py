@@ -242,6 +242,12 @@ class TestProjectToPhysical:
         with pytest.raises(ValueError, match="trace"):
             project_to_physical(np.eye(4))
 
+    def test_rejects_non_finite(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            project_to_physical(m)
+
 
 class TestReconstruct:
     def test_zero_noise_recovers_truth(self):
