@@ -21,7 +21,7 @@ from .channel import (
     tripartite_state,
     unconditional_state,
 )
-from .entanglement import EntanglementReport, is_entangled, negativity, report
+from .entanglement import EntanglementReport, negativity, report
 from .limits import (
     GridSpec,
     LimitVerdict,

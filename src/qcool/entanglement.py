@@ -13,7 +13,7 @@ import numpy as np
 
 from .qmat import DensityMatrix, partial_transpose
 
-#: Default slack below zero that separates genuine negativity from
+#: Slack below zero that separates genuine negativity from
 #: eigensolver noise on 4x4 problems.
 VERDICT_TOL = 1e-9
 
@@ -41,7 +41,7 @@ def spectrum_negativity(lam: np.ndarray) -> np.ndarray:
     return -np.where(lam < 0.0, lam, 0.0).sum(axis=-1) + 0.0
 
 
-def report(rho: DensityMatrix, tol: float = VERDICT_TOL) -> EntanglementReport:
+def report(rho: DensityMatrix) -> EntanglementReport:
     """Minimum PT eigenvalue, negativity and verdict of a two-qubit state,
     all from one PT spectrum."""
     if rho.dims != (2, 2):
@@ -50,7 +50,7 @@ def report(rho: DensityMatrix, tol: float = VERDICT_TOL) -> EntanglementReport:
     return EntanglementReport(
         min_pt_eigenvalue=float(lam[0]),
         negativity=float(spectrum_negativity(lam)),
-        entangled=bool(lam[0] < -tol),
+        entangled=bool(lam[0] < -VERDICT_TOL),
     )
 
 
@@ -58,8 +58,3 @@ def negativity(rho: DensityMatrix) -> float:
     """Absolute sum of negative PT eigenvalues; 0 for separable states,
     1/2 for maximally entangled ones."""
     return report(rho).negativity
-
-
-def is_entangled(rho: DensityMatrix, tol: float = VERDICT_TOL) -> bool:
-    """True iff the minimum PT eigenvalue lies below -tol."""
-    return report(rho, tol).entangled

@@ -63,12 +63,6 @@ class SweepRecord:
     numeric_negativity: float
     feasible: bool
 
-    @property
-    def on_photonics_plane(self) -> bool:
-        """Whether the point satisfies the 2*P_S + P_L = 1 constraint of the
-        two-beam-splitter topology."""
-        return abs(2.0 * self.p_s + self.p_l - 1.0) <= 1e-9
-
 
 def uncond_boundary(p_t: float) -> float:
     """Critical P_S without heralding; the channel is quantum iff P_S
@@ -155,7 +149,6 @@ def critical_ps_numeric(
     p_t: float,
     p_l: float = 0.0,
     which: Literal["unconditional", "conditional"] = "unconditional",
-    tol: float = BISECTION_TOL,
 ) -> float:
     """Locate the critical P_S by bisection on the minimum PT eigenvalue.
 
@@ -191,7 +184,7 @@ def critical_ps_numeric(
         raise BracketError("always entangled over feasible P_S")
     if f_hi >= 0.0:
         raise BracketError("never entangled over feasible P_S")
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if f(np.array([mid]))[0] < 0.0:
             hi = mid
@@ -284,8 +277,9 @@ def evaluate_point(p_t: float, p_l: float, p_s: float) -> SweepRecord:
     """Evaluate closed-form verdicts and the numeric negativity of the
     heralded state at one grid point.  Infeasible points (P_S + P_L > 1
     beyond the 1e-12 closure tolerance) are flagged and carry NaN
-    negativity."""
-    return _evaluate([(p_t, p_l, p_s)])[0]
+    negativity.  Out-of-range or NaN coordinates raise ValueError, as
+    they do on a `GridSpec` axis."""
+    return _evaluate(GridSpec((p_t,), (p_l,), (p_s,)).points())[0]
 
 
 def sweep(grid: GridSpec) -> list[SweepRecord]:

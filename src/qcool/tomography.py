@@ -56,6 +56,20 @@ def _projector(label: str) -> np.ndarray:
 PROJECTORS: tuple[np.ndarray, ...] = tuple(
     kron(_projector(a), _projector(b)) for a, b in SETTING_LABELS
 )
+_PROJECTOR_STACK = np.stack(PROJECTORS)
+_I2 = np.eye(2, dtype=complex)
+
+#: The 16 Pauli products, in the order `linear_inversion` sums them (which
+#: fixes its rounding): I x I, then for each a: sigma_a x I, I x sigma_a,
+#: sigma_a x sigma_b for b = Z, X, Y.
+_PAULI_TERMS = np.stack(
+    [np.eye(4, dtype=complex)]
+    + [
+        term
+        for a in _PAULIS
+        for term in (kron(a, _I2), kron(_I2, a), *(kron(a, b) for b in _PAULIS))
+    ]
+)
 
 
 #: Largest shot count, a power of two that numpy's multinomial and Poisson
@@ -118,7 +132,7 @@ def born_probabilities(rho: DensityMatrix, settings: TomographySettings) -> np.n
     """tr(Pi_i rho) for the 36 settings, in canonical order."""
     if rho.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
-    probs = np.array([np.trace(p @ rho.data).real for p in PROJECTORS])
+    probs = np.trace(_PROJECTOR_STACK @ rho.data, axis1=-2, axis2=-1).real
     return np.clip(probs, 0.0, 1.0)
 
 
@@ -159,27 +173,13 @@ def linear_inversion(counts: CountTable) -> np.ndarray:
     totals = c.sum(axis=1)
     if np.any(totals <= 0.0):
         raise ValueError("empty basis group in count table")
-    f = c / totals[:, None]
+    f = (c / totals[:, None]).reshape(3, 3, 2, 2)  # [a, b, outcome1, outcome2]
     sign = np.array([1.0, -1.0])
-    corr = np.zeros((3, 3))
-    marg1 = np.zeros((3, 3))  # [a, b] = <sigma_a x I> estimated in group (a, b)
-    marg2 = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(3):
-            fg = f[3 * a + b].reshape(2, 2)
-            corr[a, b] = np.einsum("i,j,ij->", sign, sign, fg)
-            marg1[a, b] = fg.sum(axis=1) @ sign
-            marg2[a, b] = fg.sum(axis=0) @ sign
-    s1 = marg1.mean(axis=1)
-    s2 = marg2.mean(axis=0)
-
-    eye = np.eye(2, dtype=complex)
-    rho = np.eye(4, dtype=complex)
-    for a in range(3):
-        rho += s1[a] * kron(_PAULIS[a], eye)
-        rho += s2[a] * kron(eye, _PAULIS[a])
-        for b in range(3):
-            rho += corr[a, b] * kron(_PAULIS[a], _PAULIS[b])
+    corr = (f @ sign) @ sign
+    s1 = (f.sum(axis=3) @ sign).mean(axis=1)
+    s2 = (f.sum(axis=2) @ sign).mean(axis=0)
+    coef = np.concatenate(([1.0], np.column_stack((s1, s2, corr)).ravel()))
+    rho = (coef[:, None, None] * _PAULI_TERMS).sum(axis=0)
     return rho / 4.0
 
 
@@ -210,26 +210,3 @@ def project_to_physical(m: np.ndarray) -> DensityMatrix:
 def reconstruct(counts: CountTable) -> DensityMatrix:
     """Linear inversion followed by the physicality projection."""
     return project_to_physical(linear_inversion(counts))
-
-
-def dumps_counts(counts: CountTable) -> str:
-    """Serialize a count table: one line per setting, 'LABEL1 LABEL2 COUNT',
-    labels drawn from {H, V, D, A, L, R}."""
-    lines = ["# qubit1 qubit2 count"]
-    for (a, b), v in counts.counts.items():
-        text = str(int(v)) if float(v).is_integer() else repr(v)
-        lines.append(f"{a} {b} {text}")
-    return "\n".join(lines) + "\n"
-
-
-def loads_counts(text: str) -> CountTable:
-    counts = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed count line: {line!r}")
-        counts[(parts[0], parts[1])] = float(parts[2])
-    return CountTable(counts)

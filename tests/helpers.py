@@ -9,6 +9,7 @@ import numpy as np
 from qcool.channel import ChannelParams, project_b
 from qcool.limits import LimitVerdict, SweepRecord, cond_boundary, uncond_boundary
 from qcool.qmat import DensityMatrix
+from qcool.tomography import PROJECTORS, CountTable
 
 
 def random_density_matrix(rng, dims) -> DensityMatrix:
@@ -178,3 +179,44 @@ def reference_sweep_record(p_t, p_l, p_s) -> SweepRecord:
     return SweepRecord(
         p_t, p_s, p_l, p_t * p_l, LimitVerdict(p_s > ub, p_s > cb, ub, cb), neg, feasible
     )
+
+
+# Reference tomography stages: one trace per projector, and the linear
+# inversion's nested loops over basis groups and Pauli terms.
+
+_PAULIS = (
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),   # Z
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),    # X
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex), # Y
+)
+
+
+def reference_born_probabilities(rho: DensityMatrix) -> np.ndarray:
+    probs = np.array([np.trace(p @ rho.data).real for p in PROJECTORS])
+    return np.clip(probs, 0.0, 1.0)
+
+
+def reference_linear_inversion(counts: CountTable) -> np.ndarray:
+    c = counts.as_array().reshape(9, 4)
+    f = c / c.sum(axis=1)[:, None]
+    sign = np.array([1.0, -1.0])
+    corr = np.zeros((3, 3))
+    marg1 = np.zeros((3, 3))  # [a, b] = <sigma_a x I> estimated in group (a, b)
+    marg2 = np.zeros((3, 3))
+    for a in range(3):
+        for b in range(3):
+            fg = f[3 * a + b].reshape(2, 2)
+            corr[a, b] = np.einsum("i,j,ij->", sign, sign, fg)
+            marg1[a, b] = fg.sum(axis=1) @ sign
+            marg2[a, b] = fg.sum(axis=0) @ sign
+    s1 = marg1.mean(axis=1)
+    s2 = marg2.mean(axis=0)
+
+    eye = np.eye(2, dtype=complex)
+    rho = np.eye(4, dtype=complex)
+    for a in range(3):
+        rho += s1[a] * np.kron(_PAULIS[a], eye)
+        rho += s2[a] * np.kron(eye, _PAULIS[a])
+        for b in range(3):
+            rho += corr[a, b] * np.kron(_PAULIS[a], _PAULIS[b])
+    return rho / 4.0

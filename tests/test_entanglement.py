@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcool.channel import EnvironmentSpec, singlet, unconditional_state
-from qcool.entanglement import is_entangled, negativity, pt_spectrum, report
+from qcool.entanglement import negativity, pt_spectrum, report
 from qcool.limits import uncond_boundary
 from qcool.qmat import DensityMatrix, kron, partial_transpose
 
@@ -38,15 +38,15 @@ class TestNegativity:
 
 class TestIsEntangled:
     def test_singlet(self):
-        assert is_entangled(singlet())
+        assert report(singlet()).entangled
 
     def test_product_state(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            assert not is_entangled(random_product_dm(rng))
+            assert not report(random_product_dm(rng)).entangled
 
     def test_hot_environment_above_third(self):
-        assert is_entangled(unconditional_state(0.4, EnvironmentSpec(0.5)))
+        assert report(unconditional_state(0.4, EnvironmentSpec(0.5))).entangled
 
 
 class TestReport:

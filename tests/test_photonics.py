@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcool.channel import ChannelParams, EnvironmentSpec, conditional_state
-from qcool.entanglement import is_entangled
+from qcool.entanglement import report
 from qcool.limits import cond_boundary
 from qcool.photonics import (
     CoincidenceTally,
@@ -329,7 +329,7 @@ class TestHeraldedStateEstimate:
             tally = CoincidenceTally(n_s, n_f, n_l, 0, fixture_config(), 1.0)
             emp = tally.empirical_params
             state = heralded_state_estimate(tally, spec)
-            assert is_entangled(state) == (emp.p_s > cond_boundary(spec.p_t * emp.p_l))
+            assert report(state).entangled == (emp.p_s > cond_boundary(spec.p_t * emp.p_l))
 
     def test_empty_tally_rejected(self):
         tally = CoincidenceTally(0, 0, 0, 0, fixture_config(), 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcool.channel import ChannelParams, EnvironmentSpec, conditional_state, singlet
 from qcool.entanglement import negativity
@@ -12,15 +14,18 @@ from qcool.tomography import (
     CountTable,
     TomographySettings,
     born_probabilities,
-    dumps_counts,
     linear_inversion,
-    loads_counts,
     project_to_physical,
     reconstruct,
     sample_counts,
 )
 
-from helpers import random_density_matrix
+from helpers import (
+    random_density_matrix,
+    random_unitary,
+    reference_born_probabilities,
+    reference_linear_inversion,
+)
 
 SETTINGS = TomographySettings(shots_per_setting=1000, seed=0)
 
@@ -125,18 +130,6 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountTable(counts)
 
-    def test_serialization_round_trip(self):
-        probs = born_probabilities(singlet(), SETTINGS)
-        table = sample_counts(probs, SETTINGS)
-        assert loads_counts(dumps_counts(table)) == table
-
-    def test_serialization_vocabulary(self):
-        table = exact_table(singlet())
-        lines = dumps_counts(table).splitlines()
-        assert lines[0].startswith("#")
-        labels = {part for line in lines[1:] for part in line.split()[:2]}
-        assert labels <= {"H", "V", "D", "A", "L", "R"}
-
 
 class TestLinearInversion:
     def test_exact_round_trip_singlet(self):
@@ -175,6 +168,48 @@ class TestLinearInversion:
         counts = dict.fromkeys(SETTING_LABELS, 0.0)
         with pytest.raises(ValueError, match="empty basis group"):
             linear_inversion(CountTable(counts))
+
+
+def drawn_state(kind: str, seed: int) -> DensityMatrix:
+    """A random state, or a heralded state turned by a random local unitary."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_density_matrix(rng, (2, 2))
+    p_s, p_f, p_l = rng.dirichlet([1, 1, 1])
+    rho, _ = conditional_state(ChannelParams(p_s, p_f, p_l), EnvironmentSpec(rng.uniform(0, 0.5)))
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    return DensityMatrix(u @ rho.data @ u.conj().T, (2, 2))
+
+
+STATE_KINDS = st.sampled_from(("random", "turned heralded"))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestMatchesReference:
+    """The stacked Born and inversion stages return the reference loops'
+    floats exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(STATE_KINDS, SEEDS)
+    def test_born_probabilities(self, kind, seed):
+        rho = drawn_state(kind, seed)
+        assert np.array_equal(born_probabilities(rho, SETTINGS), reference_born_probabilities(rho))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        STATE_KINDS,
+        SEEDS,
+        st.sampled_from(("exact", "multinomial", "poisson")),
+        st.integers(40, 10**7),
+    )
+    def test_linear_inversion(self, kind, seed, table, shots):
+        probs = born_probabilities(drawn_state(kind, seed), SETTINGS)
+        if table == "exact":
+            counts = CountTable(dict(zip(SETTING_LABELS, probs)))
+        else:
+            sett = TomographySettings(shots_per_setting=shots, seed=seed, noise_model=table)
+            counts = sample_counts(probs, sett)
+        assert np.array_equal(linear_inversion(counts), reference_linear_inversion(counts))
 
 
 def naive_simplex_projection(lam):
