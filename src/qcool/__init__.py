@@ -28,6 +28,7 @@ from .limits import (
     SweepRecord,
     cond_approx_ok,
     cond_boundary,
+    critical_ps_lanes,
     critical_ps_numeric,
     high_temp_boundary,
     sweep,
@@ -44,6 +45,7 @@ from .photonics import (
     params_from_ratio,
     rate_ratio,
     simulate_streams,
+    window_law,
 )
 from .tomography import (
     CountTable,

@@ -31,6 +31,13 @@ from .qmat import check_states
 
 BISECTION_TOL = 1e-8
 
+#: Trial points per stacked call of `critical_ps_lanes` after the bracket
+#: check: n active lanes each evaluate the 2**d - 1 midpoints of their
+#: next d halvings, with the largest d >= 1 that keeps n (2**d - 1) within
+#: it.  A lone lane takes d = 4 (15 points); 16 or more lanes halve once
+#: per call.
+BISECTION_STACK = 16
+
 #: Grid points `sweep` evaluates per stacked call.  Evaluating a chunk
 #: allocates about 700 bytes of stacked temporaries per feasible point on
 #: top of its records (tracemalloc, 2048 feasible points), so the
@@ -131,18 +138,101 @@ def _flip_probability(p_s: np.ndarray, p_l: np.ndarray) -> np.ndarray:
     return p_f
 
 
-def _min_pt_eig_uncond(p_s: np.ndarray, p_t: float) -> np.ndarray:
-    states = unconditional_states(p_s, p_t)
+def _min_pt_eig(
+    p_s: np.ndarray, p_t: np.ndarray, p_l: np.ndarray, which: str
+) -> np.ndarray:
+    """Minimum PT eigenvalue of the unconditional or heralded state at
+    each point, from one validated stack."""
+    if which == "unconditional":
+        states = unconditional_states(p_s, p_t)
+    else:
+        rho8 = tripartite_states(p_s, _flip_probability(p_s, p_l), p_l, p_t)
+        states, _ = project_b_states(rho8, GROUND)
     check_states(states)
     return pt_spectrum(states)[..., 0]
 
 
-def _min_pt_eig_cond(p_s: np.ndarray, p_l: float, p_t: float) -> np.ndarray:
-    p_l = np.full_like(p_s, p_l)
-    rho8 = tripartite_states(p_s, _flip_probability(p_s, p_l), p_l, p_t)
-    heralded, _ = project_b_states(rho8, GROUND)
-    check_states(heralded)
-    return pt_spectrum(heralded)[..., 0]
+def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
+    """The 2**depth - 1 midpoints the next `depth` halvings of [lo, hi]
+    can visit, in heap order: the children of entry k are the midpoints
+    of its lower and upper halves, at 2k + 1 and 2k + 2."""
+    heap, intervals = [], [(lo, hi)]
+    for _ in range(depth):
+        halves = []
+        for a, b in intervals:
+            mid = 0.5 * (a + b)
+            heap.append(mid)
+            halves += [(a, mid), (mid, b)]
+        intervals = halves
+    return heap
+
+
+def critical_ps_lanes(
+    p_t,
+    p_l=0.0,
+    which: Literal["unconditional", "conditional"] = "unconditional",
+) -> np.ndarray:
+    """`critical_ps_numeric` for broadcast arrays of p_T and P_L (the
+    lanes); returns the critical P_S of every lane in their shape.
+
+    Every stacked state build, `check_states` and PT spectrum call covers
+    all lanes still bisecting.  The nine bracket samples of each lane go
+    into one call.  Each later call holds the 2**d - 1 midpoints of every
+    active lane's next d halvings, with d = floor(log2(BISECTION_STACK /
+    n_active + 1)) and at least 1, and each lane then walks its own
+    midpoints until it meets `BISECTION_TOL`.  The midpoints come from the
+    same `0.5 * (lo + hi)` recursion as one halving at a time, so a lane's
+    result does not depend on d or on the other lanes.  The first lane
+    without a sign change raises BracketError.
+    """
+    p_t, p_l = np.broadcast_arrays(np.asarray(p_t, dtype=float), np.asarray(p_l, dtype=float))
+    shape = p_t.shape
+    p_t, p_l = p_t.ravel(), p_l.ravel()
+    for t, l in zip(p_t.tolist(), p_l.tolist()):
+        if not 0.0 < t <= 0.5:
+            raise ValueError(f"p_t={t} outside (0, 1/2]")
+        if not 0.0 <= l < 1.0:
+            raise ValueError(f"p_l={l} outside [0, 1)")
+    if which == "unconditional":
+        hi = [1.0] * p_t.size
+    elif which == "conditional":
+        hi = (1.0 - p_l).tolist()
+    else:
+        raise ValueError(f"unknown boundary kind {which!r}")
+    lo = [0.0] * p_t.size  # each lane's bracket is [0, hi]
+
+    def evaluate(lanes: list[int], points: list[list[float]]) -> list[list[float]]:
+        """Minimum PT eigenvalue at each lane's points, in one stacked call."""
+        sizes = [len(p) for p in points]
+        at = np.repeat(np.array(lanes, dtype=int), sizes)
+        flat = np.array([x for p in points for x in p], dtype=float)
+        values = iter(_min_pt_eig(flat, p_t[at], p_l[at], which).tolist())
+        return [[next(values) for _ in range(n)] for n in sizes]
+
+    lanes = list(range(p_t.size))
+    for samples in evaluate(lanes, [[h * k / 8.0 for k in range(9)] for h in hi]):
+        # Negativity (the clipped eigenvalue) must grow with P_S for the
+        # root to be unique; the positive branch itself may wander.
+        clipped = [min(s, 0.0) for s in samples]
+        if any(b > a + 1e-9 for a, b in zip(clipped, clipped[1:])):
+            raise BracketError("negativity is not monotone in P_S over the bracket")
+        if samples[0] < 0.0:
+            raise BracketError("always entangled over feasible P_S")
+        if samples[-1] >= 0.0:
+            raise BracketError("never entangled over feasible P_S")
+
+    active = lanes
+    while active := [i for i in active if hi[i] - lo[i] > BISECTION_TOL]:
+        depth = max(1, int(math.log2(BISECTION_STACK / len(active) + 1)))
+        heaps = [_midpoints(lo[i], hi[i], depth) for i in active]
+        for i, heap, values in zip(active, heaps, evaluate(active, heaps)):
+            k = 0
+            while k < len(heap) and hi[i] - lo[i] > BISECTION_TOL:
+                if values[k] < 0.0:
+                    hi[i], k = heap[k], 2 * k + 1
+                else:
+                    lo[i], k = heap[k], 2 * k + 2
+    return np.array([0.5 * (a + b) for a, b in zip(lo, hi)]).reshape(shape)
 
 
 def critical_ps_numeric(
@@ -150,7 +240,8 @@ def critical_ps_numeric(
     p_l: float = 0.0,
     which: Literal["unconditional", "conditional"] = "unconditional",
 ) -> float:
-    """Locate the critical P_S by bisection on the minimum PT eigenvalue.
+    """Locate the critical P_S by bisection on the minimum PT eigenvalue;
+    one lane of `critical_ps_lanes`.
 
     For the conditional case the closure P_F = 1 - P_S - P_L is applied at
     every trial point and the bracket is [0, 1 - P_L].  Monotonicity of the
@@ -158,39 +249,7 @@ def critical_ps_numeric(
     missing sign change raises BracketError reporting whether the feasible
     range is entirely entangled or entirely separable.
     """
-    if not 0.0 < p_t <= 0.5:
-        raise ValueError(f"p_t={p_t} outside (0, 1/2]")
-    if not 0.0 <= p_l < 1.0:
-        raise ValueError(f"p_l={p_l} outside [0, 1)")
-    if which == "unconditional":
-        f = lambda ps: _min_pt_eig_uncond(ps, p_t)
-        lo, hi = 0.0, 1.0
-    elif which == "conditional":
-        f = lambda ps: _min_pt_eig_cond(ps, p_l, p_t)
-        lo, hi = 0.0, 1.0 - p_l
-    else:
-        raise ValueError(f"unknown boundary kind {which!r}")
-
-    # The nine bracket samples are one stack; each bisection step is a
-    # stack of one.
-    samples = f(np.array([lo + (hi - lo) * k / 8.0 for k in range(9)])).tolist()
-    # Negativity (the clipped eigenvalue) must grow with P_S for the root
-    # to be unique; the positive branch itself may wander.
-    clipped = [min(s, 0.0) for s in samples]
-    if any(b > a + 1e-9 for a, b in zip(clipped, clipped[1:])):
-        raise BracketError("negativity is not monotone in P_S over the bracket")
-    f_lo, f_hi = samples[0], samples[-1]
-    if f_lo < 0.0:
-        raise BracketError("always entangled over feasible P_S")
-    if f_hi >= 0.0:
-        raise BracketError("never entangled over feasible P_S")
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(np.array([mid]))[0] < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(critical_ps_lanes(p_t, p_l, which))
 
 
 @dataclass(frozen=True)

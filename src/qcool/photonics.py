@@ -123,6 +123,35 @@ def params_from_ratio(r: float) -> ChannelParams:
     return ChannelParams(p_s, p_s, 1.0 - 2.0 * p_s)
 
 
+def window_law(config: RateConfig) -> tuple[float, float, float, float]:
+    """Exact (P_success, P_flip, P_loss, P_discard) of one R window of
+    `simulate_streams`; a run of length T opens about
+    (R_singlet + R_singles) T windows.
+
+    With w = R_singlet / (R_singlet + R_singles) the window's R click is a
+    pair's, otherwise a single's.  Noise reaches each output as a Poisson
+    count of mean x = R_noise tau / 4, noise and partners of other pairs
+    in the window as one of mean lam = (R_singlet + R_noise) tau / 4, so
+    an output is busy with chance 1 - exp(-lam) without the partner, and
+    z = exp(-(R_singlet + R_singles) tau) is the chance of no second R
+    click.  A success (flip) has the partner at A (B) and one noise click
+    at the other output; a loss has one noise click at each output and no
+    partner there.  A window with clicks at both outputs that is none of
+    these is discarded.
+    """
+    r_total = config.rate_singlet + config.rate_singles
+    if r_total <= 0.0:
+        raise ValueError("rate_singlet + rate_singles must be > 0")
+    w = config.rate_singlet / r_total
+    x = config.rate_noise * config.tau / 4.0
+    busy = -math.expm1(-(config.rate_singlet + config.rate_noise) * config.tau / 4.0)
+    z = math.exp(-r_total * config.tau)
+    p_success = w / 4.0 * x * math.exp(-2.0 * x) * z
+    p_loss = (w / 2.0 + 1.0 - w) * x * x * math.exp(-2.0 * x) * z
+    p_clicks = w * (busy / 2.0 + busy * busy / 2.0) + (1.0 - w) * busy * busy
+    return p_success, p_success, p_loss, p_clicks - 2.0 * p_success - p_loss
+
+
 def accessible_bounds(p_s: float, r_singlet: float) -> tuple[float, float]:
     """Upper bounds on P_L reachable at a given P_S for a source whose
     singlet rate relative to the R-arm singles background is

@@ -162,6 +162,24 @@ def reference_critical_ps(p_t, p_l=0.0, which="unconditional", tol=1e-8) -> floa
     return 0.5 * (lo + hi)
 
 
+def xstate_pt_spectrum(p_s, p_f, p_l, p_t) -> np.ndarray:
+    """Ascending PT spectrum of the heralded state from the X-state closed
+    form (Vidal & Werner, PRA 65, 032314 (2002)), without building a
+    matrix.  The heralded state has diagonal (a, b, c, d) in the R-A basis
+    00, 01, 10, 11 and one coherence z between 01 and 10; the partial
+    transpose moves z to 00-11, so its spectrum is b, c and
+    (a + d)/2 +- sqrt(((a - d)/2)^2 + |z|^2)."""
+    n = (1.0 - p_t) * (1.0 - p_f) + p_f / 2.0
+    kept = (1.0 - p_t) / (2.0 * n)          # weight of a transmitted or lost probe
+    a = kept * p_l * (1.0 - p_t)
+    b = kept * (p_s + p_l * p_t)
+    c = kept * (p_s + p_l * (1.0 - p_t)) + p_f * (1.0 - p_t) / (2.0 * n)
+    d = kept * p_l * p_t + p_f * p_t / (2.0 * n)
+    z = -kept * p_s
+    mean, radius = (a + d) / 2.0, np.hypot((a - d) / 2.0, z)
+    return np.sort([b, c, mean - radius, mean + radius])
+
+
 def reference_sweep_record(p_t, p_l, p_s) -> SweepRecord:
     """One grid point on its own: the closed-form verdicts and, where
     feasible, the negativity of the reference heralded state."""

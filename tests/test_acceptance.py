@@ -23,7 +23,7 @@ from qcool.cli import main
 from qcool.entanglement import negativity, report
 from qcool.limits import (
     cond_boundary,
-    critical_ps_numeric,
+    critical_ps_lanes,
     uncond_boundary,
 )
 from qcool.photonics import (
@@ -63,15 +63,15 @@ def test_criterion_1_unconditional_threshold():
 
 
 def test_criterion_2_closed_form_oracle_agreement():
-    worst_u = 0.0
-    for p_t in np.linspace(0.0025, 0.5, 200):
-        got = critical_ps_numeric(p_t, which="unconditional")
-        worst_u = max(worst_u, abs(got - uncond_boundary(p_t)))
-    worst_c = 0.0
-    for p_t in np.linspace(0.01, 0.5, 50):
-        for p_l in np.linspace(0.012, 0.6, 50):
-            got = critical_ps_numeric(p_t, p_l, which="conditional")
-            worst_c = max(worst_c, abs(got - cond_boundary(p_t * p_l)))
+    p_t = np.linspace(0.0025, 0.5, 200)
+    got = critical_ps_lanes(p_t, which="unconditional")
+    worst_u = max(abs(g - uncond_boundary(t)) for g, t in zip(got, p_t))
+    p_t, p_l = (
+        a.ravel()
+        for a in np.meshgrid(np.linspace(0.01, 0.5, 50), np.linspace(0.012, 0.6, 50), indexing="ij")
+    )
+    got = critical_ps_lanes(p_t, p_l, which="conditional")
+    worst_c = max(abs(g - cond_boundary(t * l)) for g, t, l in zip(got, p_t, p_l))
     check(
         2,
         f"bisection matches closed forms (worst uncond {worst_u:.2e}, "
@@ -110,11 +110,9 @@ def test_criterion_4_product_error_law():
         ((0.05, 0.8), (0.4, 0.1)),
         ((0.25, 0.2), (0.1, 0.5)),
     ]
-    worst_pair = 0.0
-    for (p1, l1), (p2, l2) in pairs:
-        a = critical_ps_numeric(p1, l1, which="conditional")
-        b = critical_ps_numeric(p2, l2, which="conditional")
-        worst_pair = max(worst_pair, abs(a - b))
+    p_t, p_l = np.array(pairs).reshape(-1, 2).T
+    crit = critical_ps_lanes(p_t, p_l, which="conditional").reshape(-1, 2)
+    worst_pair = float(np.abs(crit[:, 0] - crit[:, 1]).max())
     # two-stage grid search for the maximum of the conditional boundary
     xs = np.linspace(0.0, 1.0, 10001)
     ys = (np.sqrt(xs * (4.0 - 3.0 * xs)) - xs) / 2.0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcool.channel import EnvironmentSpec, singlet, unconditional_state
+from qcool.channel import EnvironmentSpec, conditional_states, singlet, unconditional_state
 from qcool.entanglement import negativity, pt_spectrum, report
 from qcool.limits import uncond_boundary
 from qcool.qmat import DensityMatrix, kron, partial_transpose
@@ -14,6 +14,7 @@ from helpers import (
     random_unitary,
     reference_negativity,
     reference_pt_spectrum,
+    xstate_pt_spectrum,
 )
 
 
@@ -121,3 +122,27 @@ class TestStackedSpectrum:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             pt_spectrum(np.zeros((3, 8, 8)))
+
+
+class TestXStateSpectrum:
+    """The X-state closed form is a third oracle for the heralded PT
+    spectrum, beside the stacked and the index-loop partial transposes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 1e-3),
+        st.floats(0.0, 0.5),
+    )
+    def test_matches_stacked_spectrum(self, weights, p_t):
+        p_s, p_f, p_l = (w / sum(weights) for w in weights)
+        states, _ = conditional_states(p_s, p_f, p_l, p_t)
+        got = pt_spectrum(states)
+        assert np.abs(got - xstate_pt_spectrum(p_s, p_f, p_l, p_t)).max() <= 1e-12
+
+    def test_random_draws_as_one_stack(self):
+        rng = np.random.default_rng(77)
+        probs = rng.dirichlet([1.0, 1.0, 1.0], size=500)
+        p_t = rng.uniform(0.0, 0.5, 500)
+        states, _ = conditional_states(*probs.T, p_t)
+        want = [xstate_pt_spectrum(*p, t) for p, t in zip(probs, p_t)]
+        assert np.abs(pt_spectrum(states) - want).max() <= 1e-12

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcool.limits
 from qcool.limits import (
     BracketError,
     GridSpec,
     cond_approx_ok,
     cond_boundary,
+    critical_ps_lanes,
     critical_ps_numeric,
     evaluate_point,
     high_temp_boundary,
@@ -161,6 +163,89 @@ class TestCriticalPsNumeric:
             critical_ps_numeric(0.1, 1.0, which="conditional")
         with pytest.raises(ValueError):
             critical_ps_numeric(0.1, 0.0, which="sideways")
+
+
+def _lanes(data, n, which):
+    """n lanes in criterion 2's ranges; conditional lanes have mixed
+    bracket widths 1 - P_L."""
+    if which == "unconditional":
+        return data.draw(st.lists(st.floats(0.0025, 0.5), min_size=n, max_size=n)), [0.0] * n
+    p_t = data.draw(st.lists(st.floats(0.01, 0.5), min_size=n, max_size=n))
+    return p_t, data.draw(st.lists(st.floats(0.012, 0.6), min_size=n, max_size=n))
+
+
+class TestCriticalPsLanes:
+    # 1, 2 and 5 lanes evaluate 4, 3 and 2 halvings per call at first;
+    # 17 and 40 lanes halve once per call.
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    @settings(max_examples=4, deadline=None)
+    @given(st.sampled_from(["unconditional", "conditional"]), st.data())
+    def test_every_lane_equals_scalar_reference(self, n, which, data):
+        p_t, p_l = _lanes(data, n, which)
+        got = critical_ps_lanes(p_t, p_l, which)
+        assert got.shape == (n,)
+        want = [reference_critical_ps(t, l, which=which) for t, l in zip(p_t, p_l)]
+        assert got.tolist() == want
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(2, 24),
+        st.sampled_from(["unconditional", "conditional"]),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    def test_lane_does_not_depend_on_its_company(self, n, which, rnd, data):
+        p_t, p_l = _lanes(data, n, which)
+        together = critical_ps_lanes(p_t, p_l, which).tolist()
+        order = list(range(n))
+        rnd.shuffle(order)
+        shuffled = critical_ps_lanes([p_t[i] for i in order], [p_l[i] for i in order], which)
+        assert shuffled.tolist() == [together[i] for i in order]
+        k = rnd.randrange(1, n)
+        assert critical_ps_lanes(p_t[:k], p_l[:k], which).tolist() == together[:k]
+        assert critical_ps_numeric(p_t[-1], p_l[-1], which) == together[-1]
+
+    def test_broadcasts_and_keeps_shape(self):
+        got = critical_ps_lanes([[0.1], [0.5]], [0.2, 0.5], "conditional")
+        assert got.shape == (2, 2)
+        assert got[1, 1] == critical_ps_numeric(0.5, 0.5, "conditional")
+
+    @pytest.mark.parametrize("which", ["unconditional", "conditional"])
+    def test_no_lanes(self, which):
+        got = critical_ps_lanes([], [], which)
+        assert got.shape == (0,) and got.dtype == float
+
+    def test_bad_lane_among_good_ones_reports_bracket_error(self):
+        with pytest.raises(BracketError, match="never entangled"):
+            critical_ps_lanes([0.2, 0.5, 0.3], [0.3, 0.9, 0.1], "conditional")
+
+    @pytest.mark.parametrize("p_t, message", [
+        ([0.1, 0.3, 0.4], "always entangled"),
+        ([0.1, 0.4, 0.3], "never entangled"),
+        ([0.1, 0.2, 0.4, 0.3], "never entangled"),
+    ])
+    def test_first_bad_lane_raises(self, monkeypatch, p_t, message):
+        # Synthetic eigenvalues: the root is at P_S = 0.2 except on the
+        # lanes p_T = 0.3 (negative throughout) and p_T = 0.4 (positive).
+        def fake(p_s, p_t, p_l, which):
+            return np.where(p_t == 0.3, -1.0, np.where(p_t == 0.4, 1.0, 0.2 - p_s))
+
+        monkeypatch.setattr(qcool.limits, "_min_pt_eig", fake)
+        with pytest.raises(BracketError, match=message):
+            critical_ps_lanes(p_t)
+
+    @pytest.mark.parametrize("p_t, p_l, name", [
+        (math.nan, 0.1, "p_t"),
+        (0.0, 0.1, "p_t"),
+        (0.6, 0.1, "p_t"),
+        (0.2, math.nan, "p_l"),
+        (0.2, 1.0, "p_l"),
+        (0.2, -0.1, "p_l"),
+    ])
+    @pytest.mark.parametrize("which", ["unconditional", "conditional"])
+    def test_lane_outside_domain_rejected(self, p_t, p_l, name, which):
+        with pytest.raises(ValueError, match=f"^{name}="):
+            critical_ps_lanes([0.1, p_t, 0.3], [0.2, p_l, 0.2], which)
 
 
 class TestBoundaryRelations:

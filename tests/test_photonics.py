@@ -18,6 +18,7 @@ from qcool.photonics import (
     rate_ratio,
     simulate_streams,
     stream_rng,
+    window_law,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -214,6 +215,39 @@ class TestSimulateStreams:
         emp = tally.empirical_params
         const = (emp.p_l / emp.p_s) / rate_ratio(cfg)
         assert abs(const - CALIBRATION_CONST) / CALIBRATION_CONST <= 0.1
+
+
+class TestWindowLaw:
+    @pytest.mark.parametrize("rates, duration, seed", [
+        ((1e5, 2e5, 4e5, 1e-6), 1.0, 7),
+        ((1e5, 0.0, 4e5, 1e-6), 2.0, 8),
+        ((1e5, 5e5, 4e5, 5e-7), 1.0, 9),
+    ])
+    def test_counts_follow_exact_law(self, rates, duration, seed):
+        # Each outcome count is about Poisson with mean windows * p.
+        cfg = RateConfig(*rates)
+        tally = simulate_streams(cfg, duration, seed=seed)
+        windows = (cfg.rate_singlet + cfg.rate_singles) * duration
+        counts = (tally.n_success, tally.n_flip, tally.n_loss, tally.n_discarded)
+        for n, p in zip(counts, window_law(cfg)):
+            mean = windows * p
+            assert mean >= 500
+            assert abs(n - mean) <= 5.0 * math.sqrt(mean)
+
+    @pytest.mark.parametrize("rates", [
+        (1e5, 2e5, 4e5, 1e-6), (1e5, 0.0, 4e5, 1e-6), (3e4, 9e5, 2e5, 2e-7),
+    ])
+    def test_heralded_split_is_the_exact_ratio_law(self, rates):
+        # P_S / (P_S + P_F + P_L) = 1 / (2 + r + R_noise tau / 2).
+        cfg = RateConfig(*rates)
+        p_s, p_f, p_l, p_d = window_law(cfg)
+        assert p_s == p_f and p_d >= 0.0
+        want = 1.0 / (2.0 + rate_ratio(cfg) + cfg.rate_noise * cfg.tau / 2.0)
+        assert abs(p_s / (p_s + p_f + p_l) - want) <= 1e-12
+
+    def test_rejects_no_r_clicks(self):
+        with pytest.raises(ValueError, match="rate_singlet"):
+            window_law(RateConfig(0.0, 0.0, 4e5, 1e-6))
 
 
 class TestTimeTagDump:
