@@ -3,14 +3,21 @@
 A singlet-pair source clicks detector R and sends the partner photon into
 the channel, where independent Poisson noise is coupled on a 50:50 beam
 splitter; a second 50:50 splitter fans the channel out to detectors A and
-B.  A residual-singles stream clicks R without a partner.  Every
-environment-side photon takes two independent fair-coin routings (pass
-the first splitter, then A-or-B).  A heralded triple is a window of width
-tau after an R click containing exactly one click at A and one at B;
-triples are classified success / flip / loss by the provenance of those
-clicks.  Polarization never filters a detection in this topology, so the
-noise state enters the physics analytically (see `channel`), not
-stochastically; the tally only counts provenance.
+B.  A residual-singles stream clicks R without a partner.  A heralded
+triple is a window of width tau after an R click containing exactly one
+click at A and one at B; triples are classified success / flip / loss by
+the provenance of those clicks.  Polarization never filters a detection
+in this topology, so the noise state enters the physics analytically (see
+`channel`), not stochastically; the tally only counts provenance.
+
+Only what reaches a detector is drawn, exactly in distribution by Poisson
+superposition and thinning: one R stream at R_singlet + R_singles whose
+clicks are pairs with chance R_singlet / (R_singlet + R_singles), a pair's
+partner reaching A or B with chance 1/4 each, and two independent noise
+streams at R_noise / 4, one at A and one at B.  A run is drawn and tallied
+in blocks of fixed length (`BLOCK_ARRIVALS` expected draws, see
+`_block_length`), block k of stream s from SeedSequence(seed,
+spawn_key=(s, k)), so memory does not grow with the run's duration.
 
 The analytic mapping from laboratory rates to channel parameters
 (P_S = 1/(2 + ratio), P_L = ratio/(2 + ratio) with
@@ -26,9 +33,13 @@ documented here for completeness but deliberately not simulated.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +48,27 @@ from .qmat import DensityMatrix
 
 RATE_TAU_WARN = 0.1
 
-#: Stream indices for the seed-derivation scheme (see `stream_rng`).
-STREAM_PAIR_ARRIVALS = 0
-STREAM_PAIR_ROUTING = 1
-STREAM_SINGLES_ARRIVALS = 2
-STREAM_NOISE_ARRIVALS = 3
-STREAM_NOISE_ROUTING = 4
+#: Stream indices of the seed scheme: block k of stream s draws from
+#: SeedSequence(seed, spawn_key=(s, k)) (see `_blocks`).
+STREAM_R = 0
+STREAM_NOISE_A = 1
+STREAM_NOISE_B = 2
+
+#: Expected draws per block, up to a factor of 2 (see `_block_length`);
+#: part of the seed scheme.
+BLOCK_ARRIVALS = 2**17
+#: Blocks are at most 2**MAX_BLOCK_EXP s long, the largest finite power
+#: of two; a run with no arrivals is one or two blocks.
+MAX_BLOCK_EXP = 1023
+
+#: Where an R click's partner photon went.
+PARTNER_A = 0
+PARTNER_B = 1
+PARTNER_LOST = 2
+SINGLE = 3
+
+_TAG_DETECTORS = ("A", "B", "R")
+_TAG_PROVENANCE = ("noise", "signal", "single")
 
 
 @dataclass(frozen=True)
@@ -170,14 +196,14 @@ def accessible_bounds(p_s: float, r_singlet: float) -> tuple[float, float]:
     return first, second
 
 
-def stream_rng(seed: int, stream_index: int) -> np.random.Generator:
+def stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     """Generator for one event stream, derived from the master seed as
-    SeedSequence(seed, spawn_key=(stream_index,)).  Adding streams with
-    new indices never perturbs existing ones."""
+    SeedSequence(seed, spawn_key=spawn_key).  Adding streams with new
+    keys never perturbs existing ones."""
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=(int(stream_index),))
+        np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in spawn_key))
     )
 
 
@@ -203,25 +229,138 @@ def poisson_arrivals(rate: float, duration: float, rng: np.random.Generator) -> 
     return np.concatenate(out) if len(out) > 1 else out[0]
 
 
-def _fair_coins(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, 2, size=n).astype(bool)
+class _Block(NamedTuple):
+    """The draws of one block, which covers `span` seconds of the run.
+    `partner` holds, for each R click, where its partner photon went:
+    PARTNER_A, PARTNER_B, PARTNER_LOST, or SINGLE for a residual single
+    with no partner."""
+
+    span: float
+    r: np.ndarray
+    partner: np.ndarray
+    noise_a: np.ndarray
+    noise_b: np.ndarray
 
 
-def _dump_time_tags(path, r_times, r_from_pair, a_times, a_is_signal, b_times, b_is_signal):
-    # One record per click: integer picoseconds, detector id, provenance.
-    recs = []
-    for times, dets, provs in (
-        (r_times, "R", np.where(r_from_pair, "signal", "single")),
-        (a_times, "A", np.where(a_is_signal, "signal", "noise")),
-        (b_times, "B", np.where(b_is_signal, "signal", "noise")),
-    ):
-        ps = np.round(times * 1e12).astype(np.int64)
-        recs.extend(zip(ps.tolist(), [dets] * len(ps), provs.tolist()))
-    recs.sort()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# time_ps detector provenance\n")
-        for t, det, prov in recs:
-            fh.write(f"{t} {det} {prov}\n")
+def _block_length(config: RateConfig) -> float:
+    """Length of one block of the seed scheme: the power of two at which
+    the drawn rate R_singlet + R_singles + R_noise/2 expects more than
+    BLOCK_ARRIVALS/2 and at most BLOCK_ARRIVALS arrivals, raised to at
+    least tau so that a window reaches at most into the next block.  A
+    power of two keeps every block edge k * length exact, so clicks stay
+    in time order across edges."""
+    rate = config.rate_singlet + config.rate_singles + config.rate_noise / 2.0
+    exp = math.frexp(BLOCK_ARRIVALS / rate)[1] - 1 if rate > 0.0 else MAX_BLOCK_EXP
+    return math.ldexp(1.0, min(max(exp, math.frexp(config.tau)[1]), MAX_BLOCK_EXP))
+
+
+def _blocks(config: RateConfig, duration: float, seed: int) -> Iterator[_Block]:
+    """The run's draws block by block: block k covers [k L, (k+1) L) of
+    [0, duration) and draws stream s from SeedSequence(seed,
+    spawn_key=(s, k)).  The R stream's generator draws the click times,
+    then one uniform per click that picks its `partner` code."""
+    r_rate = config.rate_singlet + config.rate_singles
+    w = config.rate_singlet / r_rate if r_rate > 0.0 else 0.0
+    length = _block_length(config)
+    for k in itertools.count():
+        start = k * length
+        if start >= duration:
+            return
+        span = min(start + length, duration) - start
+        rng_r = stream_rng(seed, STREAM_R, k)
+        r = start + poisson_arrivals(r_rate, span, rng_r)
+        u = rng_r.random(r.size)
+        partner = (u >= w / 4.0).view(np.int8) + (u >= w / 2.0) + (u >= w)
+        noise_a, noise_b = (
+            start + poisson_arrivals(config.rate_noise / 4.0, span, stream_rng(seed, stream, k))
+            for stream in (STREAM_NOISE_A, STREAM_NOISE_B)
+        )
+        yield _Block(span, r, partner, noise_a, noise_b)
+
+
+def _tally_block(block: _Block, nxt: _Block, config: RateConfig) -> CoincidenceTally:
+    """The tally of the windows [t, t + tau) opened by `block`'s R clicks;
+    they reach at most the head of the next block, `nxt`."""
+    r = block.r
+    n = r.size
+    if n == 0:
+        return CoincidenceTally(0, 0, 0, 0, config, block.span)
+    ends = r + config.tau
+    head_r, head_a, head_b = (
+        x[: np.searchsorted(x, ends[-1])] for x in (nxt.r, nxt.noise_a, nxt.noise_b)
+    )
+    r_all = np.concatenate((r, head_r))
+    partner = np.concatenate((block.partner, nxt.partner[: head_r.size]))
+
+    # An A click at s lies in the windows i with r_i <= s < ends_i, a run
+    # lo <= i < hi of window indices, so a difference array over the
+    # windows counts every window's A clicks.
+    a = np.concatenate((r_all[partner == PARTNER_A], block.noise_a, head_a))
+    lo = np.searchsorted(ends, a, side="right")
+    hi = np.searchsorted(r, a, side="right")
+    count_a = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+    cand = np.flatnonzero(count_a[:n])
+
+    # B only for windows with an A click: the first B click at or after t
+    # and the one after it (or the two inf sentinels), against the window
+    # end, tell 0, 1 or more.
+    b = np.sort(np.concatenate((r_all[partner == PARTNER_B], block.noise_b, head_b, [np.inf] * 2)))
+    first = np.searchsorted(b, r[cand])
+    cand_ends = ends[cand]
+    next_r = np.append(r_all, np.inf)[cand + 1]
+    triple = b[first] < cand_ends
+    single = (
+        triple
+        & (b[first + 1] >= cand_ends)
+        & (count_a[cand] == 1)
+        & (next_r >= cand_ends)
+    )
+    # With one click at each of R, A and B, the A (B) click is signal
+    # exactly when the window's own partner went to A (B).
+    own = np.bincount(block.partner[cand[single]], minlength=4)
+    n_single = int(single.sum())
+    return CoincidenceTally(
+        n_success=int(own[PARTNER_A]),
+        n_flip=int(own[PARTNER_B]),
+        n_loss=int(own[PARTNER_LOST] + own[SINGLE]),
+        n_discarded=int(triple.sum()) - n_single,
+        config=config,
+        duration=block.span,
+    )
+
+
+_EMPTY = np.empty(0)
+_NO_BLOCK = _Block(0.0, _EMPTY, _EMPTY.astype(np.int8), _EMPTY, _EMPTY)
+
+
+def _block_tallies(config: RateConfig, blocks: Iterator[_Block]) -> Iterator[CoincidenceTally]:
+    """One tally per block, each over the windows opened in that block."""
+    block = next(blocks)
+    for nxt in itertools.chain(blocks, [_NO_BLOCK]):
+        yield _tally_block(block, nxt, config)
+        block = nxt
+
+
+def _write_time_tags(fh, blocks: Iterator[_Block]) -> Iterator[_Block]:
+    """Pass the blocks through, writing each one's clicks to `fh` as
+    `time_ps detector provenance` lines in time order."""
+    for block in blocks:
+        parts = (
+            (block.r[block.partner == PARTNER_A], 0, 1),
+            (block.noise_a, 0, 0),
+            (block.r[block.partner == PARTNER_B], 1, 1),
+            (block.noise_b, 1, 0),
+            (block.r, 2, 1 + (block.partner == SINGLE)),
+        )
+        ps = np.round(np.concatenate([p[0] for p in parts]) * 1e12).astype(np.int64)
+        det = np.concatenate([np.full(p[0].size, p[1], dtype=np.int8) for p in parts])
+        prov = np.concatenate([np.broadcast_to(p[2], p[0].shape) for p in parts])
+        order = np.lexsort((prov, det, ps))
+        fh.writelines(
+            f"{t} {_TAG_DETECTORS[d]} {_TAG_PROVENANCE[v]}\n"
+            for t, d, v in zip(ps[order].tolist(), det[order].tolist(), prov[order].tolist())
+        )
+        yield block
 
 
 def simulate_streams(
@@ -232,88 +371,26 @@ def simulate_streams(
 ) -> CoincidenceTally:
     """Run the event-driven coincidence experiment.
 
-    Three independent Poisson streams are generated (singlet pairs,
-    residual singles at R, noise photons), each environment-side photon
-    is routed by two fair coins, and every R click opens a window
-    [t, t + tau).  Windows with one click at A and one at B form a triple
-    classified by provenance: signal at A -> success, signal at B ->
-    flip, noise at both -> loss.  Windows with multiple clicks at any one
-    output -- including a second R click, which signals a second pair in
-    flight -- are discarded, enforcing single occupancy per output.
-    Deterministic for a fixed seed.
+    Every R click opens a window [t, t + tau).  Windows with one click at
+    A and one at B form a triple classified by provenance: signal at A ->
+    success, signal at B -> flip, noise at both -> loss.  Windows with
+    multiple clicks at any one output -- including a second R click,
+    which signals a second pair in flight -- are discarded, enforcing
+    single occupancy per output.  The run is drawn and tallied block by
+    block (see `_blocks`), so memory does not grow with `duration`; each
+    window belongs to the block of its R click.  Deterministic for a
+    fixed seed.
     """
-    if not duration > 0.0:
-        raise ValueError("duration must be > 0")
-
-    pair_times = poisson_arrivals(
-        config.rate_singlet, duration, stream_rng(seed, STREAM_PAIR_ARRIVALS)
-    )
-    single_times = poisson_arrivals(
-        config.rate_singles, duration, stream_rng(seed, STREAM_SINGLES_ARRIVALS)
-    )
-    noise_times = poisson_arrivals(
-        config.rate_noise, duration, stream_rng(seed, STREAM_NOISE_ARRIVALS)
-    )
-
-    rng_sig_route = stream_rng(seed, STREAM_PAIR_ROUTING)
-    sig_pass = _fair_coins(rng_sig_route, pair_times.size)   # through splitter 1
-    sig_to_a = _fair_coins(rng_sig_route, pair_times.size)   # splitter 2 output
-    rng_noise_route = stream_rng(seed, STREAM_NOISE_ROUTING)
-    noise_pass = _fair_coins(rng_noise_route, noise_times.size)
-    noise_to_a = _fair_coins(rng_noise_route, noise_times.size)
-
-    def detector(sig_mask, noise_mask):
-        times = np.concatenate([pair_times[sig_mask], noise_times[noise_mask]])
-        is_signal = np.zeros(times.size, dtype=bool)
-        is_signal[: sig_mask.sum()] = True
-        order = np.argsort(times, kind="stable")
-        return times[order], is_signal[order]
-
-    a_times, a_is_signal = detector(sig_pass & sig_to_a, noise_pass & noise_to_a)
-    b_times, b_is_signal = detector(sig_pass & ~sig_to_a, noise_pass & ~noise_to_a)
-
-    r_times = np.concatenate([pair_times, single_times])
-    r_from_pair = np.zeros(r_times.size, dtype=bool)
-    r_from_pair[: pair_times.size] = True
-    order = np.argsort(r_times, kind="stable")
-    r_times, r_from_pair = r_times[order], r_from_pair[order]
-
-    if time_tag_path is not None:
-        _dump_time_tags(
-            time_tag_path, r_times, r_from_pair, a_times, a_is_signal, b_times, b_is_signal
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration={duration} must be finite and > 0")
+    blocks = _blocks(config, duration, seed)
+    if time_tag_path is None:
+        return functools.reduce(merge_tallies, _block_tallies(config, blocks))
+    with open(time_tag_path, "w", encoding="utf-8") as fh:
+        fh.write("# time_ps detector provenance\n")
+        return functools.reduce(
+            merge_tallies, _block_tallies(config, _write_time_tags(fh, blocks))
         )
-
-    # Windows lacking an A click can never form a triple; restrict the
-    # remaining searches to candidates with at least one.
-    r_ends = r_times + config.tau
-    a_lo = np.searchsorted(a_times, r_times, side="left")
-    a_hi = np.searchsorted(a_times, r_ends, side="left")
-    cand = np.nonzero(a_hi > a_lo)[0]
-    starts, ends = r_times[cand], r_ends[cand]
-    count_a = (a_hi - a_lo)[cand]
-    a_first = a_lo[cand]
-    b_first = np.searchsorted(b_times, starts, side="left")
-    count_b = np.searchsorted(b_times, ends, side="left") - b_first
-    count_r = np.searchsorted(r_times, ends, side="left") - cand
-
-    triple = count_b >= 1
-    single_occupancy = triple & (count_a == 1) & (count_b == 1) & (count_r == 1)
-    n_discarded = int((triple & ~single_occupancy).sum())
-
-    a_sig = a_is_signal[a_first[single_occupancy]]
-    b_sig = b_is_signal[b_first[single_occupancy]]
-    n_success = int(a_sig.sum())
-    n_flip = int((~a_sig & b_sig).sum())
-    n_loss = int((~a_sig & ~b_sig).sum())
-
-    return CoincidenceTally(
-        n_success=n_success,
-        n_flip=n_flip,
-        n_loss=n_loss,
-        n_discarded=n_discarded,
-        config=config,
-        duration=float(duration),
-    )
 
 
 def merge_tallies(a: CoincidenceTally, b: CoincidenceTally) -> CoincidenceTally:

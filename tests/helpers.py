@@ -8,6 +8,7 @@ import numpy as np
 
 from qcool.channel import ChannelParams, project_b
 from qcool.limits import LimitVerdict, SweepRecord, cond_boundary, uncond_boundary
+from qcool.photonics import PARTNER_A, PARTNER_B, CoincidenceTally, _blocks
 from qcool.qmat import DensityMatrix
 from qcool.tomography import PROJECTORS, CountTable
 
@@ -238,3 +239,48 @@ def reference_linear_inversion(counts: CountTable) -> np.ndarray:
         for b in range(3):
             rho += corr[a, b] * np.kron(_PAULIS[a], _PAULIS[b])
     return rho / 4.0
+
+
+def reference_tally(config, duration, seed) -> CoincidenceTally:
+    """Whole-run classifier over the concatenated draws of every block of
+    a run: each detector's clicks merged into one time-sorted stream, and
+    every window searched into all three streams."""
+    blocks = list(_blocks(config, duration, seed))
+    r_times = np.concatenate([b.r for b in blocks])
+    partner = np.concatenate([b.partner for b in blocks])
+    assert np.all(np.diff(r_times) >= 0.0)  # in time order across block edges
+
+    def detector(code, noise):
+        signal = r_times[partner == code]
+        times = np.concatenate([signal, *noise])
+        is_signal = np.zeros(times.size, dtype=bool)
+        is_signal[: signal.size] = True
+        order = np.argsort(times, kind="stable")
+        return times[order], is_signal[order]
+
+    a_times, a_is_signal = detector(PARTNER_A, [b.noise_a for b in blocks])
+    b_times, b_is_signal = detector(PARTNER_B, [b.noise_b for b in blocks])
+
+    r_ends = r_times + config.tau
+    a_lo = np.searchsorted(a_times, r_times, side="left")
+    a_hi = np.searchsorted(a_times, r_ends, side="left")
+    cand = np.nonzero(a_hi > a_lo)[0]
+    starts, ends = r_times[cand], r_ends[cand]
+    count_a = (a_hi - a_lo)[cand]
+    a_first = a_lo[cand]
+    b_first = np.searchsorted(b_times, starts, side="left")
+    count_b = np.searchsorted(b_times, ends, side="left") - b_first
+    count_r = np.searchsorted(r_times, ends, side="left") - cand
+
+    triple = count_b >= 1
+    single_occupancy = triple & (count_a == 1) & (count_b == 1) & (count_r == 1)
+    a_sig = a_is_signal[a_first[single_occupancy]]
+    b_sig = b_is_signal[b_first[single_occupancy]]
+    return CoincidenceTally(
+        n_success=int(a_sig.sum()),
+        n_flip=int((~a_sig & b_sig).sum()),
+        n_loss=int((~a_sig & ~b_sig).sum()),
+        n_discarded=int((triple & ~single_occupancy).sum()),
+        config=config,
+        duration=float(duration),
+    )

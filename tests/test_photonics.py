@@ -1,8 +1,13 @@
+import functools
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import reference_tally
+from qcool import photonics
 from qcool.channel import ChannelParams, EnvironmentSpec, conditional_state
 from qcool.entanglement import report
 from qcool.limits import cond_boundary
@@ -188,6 +193,11 @@ class TestSimulateStreams:
         with pytest.raises(ValueError):
             simulate_streams(fixture_config(), 0.0, seed=0)
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_rejects_non_finite_duration(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            simulate_streams(fixture_config(), duration, seed=0)
+
     def test_counts_partition_triples(self):
         tally = simulate_streams(fixture_config(), 2.0, seed=21)
         assert tally.n_success + tally.n_flip + tally.n_loss == tally.n_triple
@@ -250,6 +260,82 @@ class TestWindowLaw:
             window_law(RateConfig(0.0, 0.0, 4e5, 1e-6))
 
 
+def block_count(cfg, duration):
+    return math.ceil(duration / photonics._block_length(cfg))
+
+
+class TestBlockStreaming:
+    @pytest.mark.parametrize("rates, duration, seed", [
+        pytest.param((1e5, 2e5, 4e5, 1e-6), 1.0, 7, id="window-law-1"),
+        pytest.param((1e5, 0.0, 4e5, 1e-6), 2.0, 8, id="window-law-2-zero-singles"),
+        pytest.param((1e5, 5e5, 4e5, 5e-7), 1.0, 9, id="window-law-3"),
+        pytest.param((1e5, 9e5, 4e5, 1e-6), 1.0, 10, id="r-tau-near-1"),
+        pytest.param((1e5, 2e5, 4e5, 1e-6), 0.2, 11, id="one-block"),
+        pytest.param((2e3, 0.0, 5e3, 1e-4), 90.0, 12, id="zero-singles"),
+        pytest.param((0.0, 0.0, 0.0, 1e-6), 5.0, 13, id="all-rates-zero"),
+    ])
+    def test_equals_whole_run_reference(self, rates, duration, seed):
+        cfg = RateConfig(*rates)
+        assert simulate_streams(cfg, duration, seed) == reference_tally(cfg, duration, seed)
+
+    def test_block_counts(self):
+        # the cases above cover one block and several
+        assert block_count(RateConfig(1e5, 2e5, 4e5, 1e-6), 0.2) == 1
+        assert block_count(RateConfig(1e5, 2e5, 4e5, 1e-6), 1.0) == 4
+        assert block_count(RateConfig(1e5, 9e5, 4e5, 1e-6), 1.0) == 16
+
+    @pytest.mark.parametrize("block_arrivals, tau_longer", [(0.125, True), (8.0, False)])
+    def test_small_blocks_equal_whole_run_reference(self, monkeypatch, block_arrivals, tau_longer):
+        # With 0.125 expected arrivals per block tau is longer than the
+        # nominal block, so the block grows to tau; with 8 it does not.
+        # Either way hundreds of block edges fall inside windows.
+        monkeypatch.setattr(photonics, "BLOCK_ARRIVALS", block_arrivals)
+        cfg = RateConfig(1e5, 2e5, 4e5, 1e-6)
+        drawn = cfg.rate_singlet + cfg.rate_singles + cfg.rate_noise / 2.0
+        assert (block_arrivals / drawn < cfg.tau) == tau_longer
+        assert photonics._block_length(cfg) >= cfg.tau
+        assert block_count(cfg, 0.005) > 300
+        assert simulate_streams(cfg, 0.005, 14) == reference_tally(cfg, 0.005, 14)
+
+    @pytest.mark.parametrize("rates", [
+        (1e5, 2e5, 4e5, 1e-6), (1e5, 9e5, 4e5, 1e-6), (3.0, 0.0, 0.0, 1e-9),
+        (0.0, 0.0, 0.0, 1e-6), (1e-310, 0.0, 0.0, 1e300), (1e5, 0.0, 0.0, 1e-300),
+    ])
+    def test_block_length_is_a_power_of_two_at_least_tau(self, rates):
+        cfg = RateConfig(*rates)
+        length = photonics._block_length(cfg)
+        mantissa, _ = math.frexp(length)
+        assert mantissa == 0.5 and math.isfinite(length)
+        assert length >= cfg.tau or length == 2.0**photonics.MAX_BLOCK_EXP
+        drawn = cfg.rate_singlet + cfg.rate_singles + cfg.rate_noise / 2.0
+        if drawn > 1.0 and length > cfg.tau:
+            assert photonics.BLOCK_ARRIVALS / 2 < drawn * length <= photonics.BLOCK_ARRIVALS
+
+    def test_reduction_order_does_not_matter(self):
+        cfg = RateConfig(1e5, 9e5, 4e5, 1e-6)
+        tallies = list(photonics._block_tallies(cfg, photonics._blocks(cfg, 2.0, 15)))
+        assert len(tallies) == block_count(cfg, 2.0) > 8
+        whole = simulate_streams(cfg, 2.0, 15)
+        rng = random.Random(16)
+        for _ in range(5):
+            rng.shuffle(tallies)
+            assert functools.reduce(merge_tallies, tallies) == whole
+
+    def test_memory_does_not_grow_with_duration(self):
+        cfg = fixture_config()
+
+        def peak_mb(duration):
+            tracemalloc.start()
+            try:
+                simulate_streams(cfg, duration, seed=17)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_mb(1.0), peak_mb(8.0)
+        assert long <= short + 1.0, (short, long)
+
+
 class TestTimeTagDump:
     def test_dump_format_and_counts(self, tmp_path):
         path = tmp_path / "tags.txt"
@@ -270,6 +356,26 @@ class TestTimeTagDump:
         # R clicks come from pairs plus residual singles
         mean_r = (cfg.rate_singlet + cfg.rate_singles) * 0.5
         assert abs(dets["R"] - mean_r) <= 5.0 * math.sqrt(mean_r)
+
+    def test_streamed_dump_over_blocks(self, tmp_path):
+        # Three blocks: clicks stay in time order across the edges, and
+        # each detector writes one line per click of the run.
+        path = tmp_path / "tags.txt"
+        cfg = RateConfig(2e4, 1e4, 3e4, 1e-7)
+        assert block_count(cfg, 5.0) == 3
+        tally = simulate_streams(cfg, 5.0, seed=32, time_tag_path=str(path))
+        assert tally == simulate_streams(cfg, 5.0, seed=32)
+        want = {"R": 0, "A": 0, "B": 0}
+        for b in photonics._blocks(cfg, 5.0, 32):
+            want["R"] += b.r.size
+            want["A"] += int((b.partner == photonics.PARTNER_A).sum()) + b.noise_a.size
+            want["B"] += int((b.partner == photonics.PARTNER_B).sum()) + b.noise_b.size
+        with open(path, encoding="utf-8") as fh:
+            assert next(fh) == "# time_ps detector provenance\n"
+            times, dets = np.loadtxt(fh, dtype=str, usecols=(0, 1), unpack=True)
+        assert np.all(np.diff(times.astype(np.int64)) >= 0)
+        got = dict(zip(*np.unique(dets, return_counts=True)))
+        assert got == want
 
 
 class TestMergeTallies:
