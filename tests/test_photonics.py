@@ -278,6 +278,17 @@ class TestBlockStreaming:
         cfg = RateConfig(*rates)
         assert simulate_streams(cfg, duration, seed) == reference_tally(cfg, duration, seed)
 
+    @pytest.mark.parametrize("rates, duration, counts", [
+        ((1e5, 2e5, 4e5, 1e-6), 3.0, (4612, 4524, 4484, 14290)),
+        ((1e5, 0.0, 4e5, 1e-6), 0.3, (550, 538, 104, 794)),
+    ])
+    def test_seed_scheme_is_pinned(self, rates, duration, counts):
+        # Recorded counts at seed 7: a change to the draws or to the seed
+        # scheme changes them, although every rerun would still agree.
+        tally = simulate_streams(RateConfig(*rates), duration, 7)
+        assert (tally.n_success, tally.n_flip, tally.n_loss, tally.n_discarded) == counts
+        assert tally.duration == duration
+
     def test_block_counts(self):
         # the cases above cover one block and several
         assert block_count(RateConfig(1e5, 2e5, 4e5, 1e-6), 0.2) == 1
