@@ -39,8 +39,6 @@ from .photonics import (
     CoincidenceTally,
     RateConfig,
     accessible_bounds,
-    heralded_state_estimate,
-    merge_tallies,
     mix_detections,
     params_from_ratio,
     rate_ratio,

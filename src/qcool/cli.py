@@ -422,7 +422,7 @@ def run_pipeline(rc: RunConfig) -> int:
         if tally_g.n_triple == 0 or tally_e.n_triple == 0:
             raise RuntimeError(f"scenario {idx}: no heralded triples")
         mixed = photonics.mix_detections(tally_g, tally_e, spec.p_t, seed_mix)
-        estimated = photonics.heralded_state_estimate(mixed, spec)
+        estimated, _ = channel.conditional_state(mixed.empirical_params, spec)
 
         settings = replace(rc.params["settings"], seed=seed_tomo)
         counts = tomography.sample_counts(

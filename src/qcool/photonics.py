@@ -18,6 +18,8 @@ streams at R_noise / 4, one at A and one at B.  A run is drawn and tallied
 in blocks of fixed length (`BLOCK_ARRIVALS` expected draws, see
 `_block_length`), block k of stream s from SeedSequence(seed,
 spawn_key=(s, k)), so memory does not grow with the run's duration.
+`RateConfig` refuses a window that expects more than
+`MAX_WINDOW_ARRIVALS` draws, so a block grown to tau stays bounded too.
 
 The analytic mapping from laboratory rates to channel parameters
 (P_S = 1/(2 + ratio), P_L = ratio/(2 + ratio) with
@@ -33,7 +35,6 @@ documented here for completeness but deliberately not simulated.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -43,8 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams, EnvironmentSpec, conditional_state
-from .qmat import DensityMatrix
+from .channel import ChannelParams
 
 RATE_TAU_WARN = 0.1
 
@@ -57,6 +57,10 @@ STREAM_NOISE_B = 2
 #: Expected draws per block, up to a factor of 2 (see `_block_length`);
 #: part of the seed scheme.
 BLOCK_ARRIVALS = 2**17
+#: A window [t, t + tau) may expect at most this many draws; above it
+#: every window is discarded anyway.  A block grown to tau (see
+#: `_block_length`) then holds at most 2 * MAX_WINDOW_ARRIVALS draws.
+MAX_WINDOW_ARRIVALS = 2**17
 #: Blocks are at most 2**MAX_BLOCK_EXP s long, the largest finite power
 #: of two; a run with no arrivals is one or two blocks.
 MAX_BLOCK_EXP = 1023
@@ -66,9 +70,6 @@ PARTNER_A = 0
 PARTNER_B = 1
 PARTNER_LOST = 2
 SINGLE = 3
-
-_TAG_DETECTORS = ("A", "B", "R")
-_TAG_PROVENANCE = ("noise", "signal", "single")
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,12 @@ class RateConfig:
                 )
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau={self.tau} must be > 0")
+        drawn = (self.rate_singlet + self.rate_singles + self.rate_noise / 2.0) * self.tau
+        if drawn > MAX_WINDOW_ARRIVALS:
+            raise ValueError(
+                f"(rate_singlet + rate_singles + rate_noise/2)*tau = {drawn:.3g} exceeds "
+                f"{MAX_WINDOW_ARRIVALS} draws per window"
+            )
 
 
 @dataclass(frozen=True)
@@ -230,12 +237,10 @@ def poisson_arrivals(rate: float, duration: float, rng: np.random.Generator) -> 
 
 
 class _Block(NamedTuple):
-    """The draws of one block, which covers `span` seconds of the run.
-    `partner` holds, for each R click, where its partner photon went:
-    PARTNER_A, PARTNER_B, PARTNER_LOST, or SINGLE for a residual single
-    with no partner."""
+    """The draws of one block.  `partner` holds, for each R click, where
+    its partner photon went: PARTNER_A, PARTNER_B, PARTNER_LOST, or
+    SINGLE for a residual single with no partner."""
 
-    span: float
     r: np.ndarray
     partner: np.ndarray
     noise_a: np.ndarray
@@ -275,17 +280,18 @@ def _blocks(config: RateConfig, duration: float, seed: int) -> Iterator[_Block]:
             start + poisson_arrivals(config.rate_noise / 4.0, span, stream_rng(seed, stream, k))
             for stream in (STREAM_NOISE_A, STREAM_NOISE_B)
         )
-        yield _Block(span, r, partner, noise_a, noise_b)
+        yield _Block(r, partner, noise_a, noise_b)
 
 
-def _tally_block(block: _Block, nxt: _Block, config: RateConfig) -> CoincidenceTally:
-    """The tally of the windows [t, t + tau) opened by `block`'s R clicks;
-    they reach at most the head of the next block, `nxt`."""
+def _tally_block(block: _Block, nxt: _Block, tau: float) -> tuple[int, int, int, int]:
+    """The (success, flip, loss, discarded) counts of the windows
+    [t, t + tau) opened by `block`'s R clicks; they reach at most the
+    head of the next block, `nxt`."""
     r = block.r
     n = r.size
     if n == 0:
-        return CoincidenceTally(0, 0, 0, 0, config, block.span)
-    ends = r + config.tau
+        return 0, 0, 0, 0
+    ends = r + tau
     head_r, head_a, head_b = (
         x[: np.searchsorted(x, ends[-1])] for x in (nxt.r, nxt.noise_a, nxt.noise_b)
     )
@@ -319,56 +325,19 @@ def _tally_block(block: _Block, nxt: _Block, config: RateConfig) -> CoincidenceT
     # exactly when the window's own partner went to A (B).
     own = np.bincount(block.partner[cand[single]], minlength=4)
     n_single = int(single.sum())
-    return CoincidenceTally(
-        n_success=int(own[PARTNER_A]),
-        n_flip=int(own[PARTNER_B]),
-        n_loss=int(own[PARTNER_LOST] + own[SINGLE]),
-        n_discarded=int(triple.sum()) - n_single,
-        config=config,
-        duration=block.span,
+    return (
+        int(own[PARTNER_A]),
+        int(own[PARTNER_B]),
+        int(own[PARTNER_LOST] + own[SINGLE]),
+        int(triple.sum()) - n_single,
     )
 
 
 _EMPTY = np.empty(0)
-_NO_BLOCK = _Block(0.0, _EMPTY, _EMPTY.astype(np.int8), _EMPTY, _EMPTY)
+_NO_BLOCK = _Block(_EMPTY, _EMPTY.astype(np.int8), _EMPTY, _EMPTY)
 
 
-def _block_tallies(config: RateConfig, blocks: Iterator[_Block]) -> Iterator[CoincidenceTally]:
-    """One tally per block, each over the windows opened in that block."""
-    block = next(blocks)
-    for nxt in itertools.chain(blocks, [_NO_BLOCK]):
-        yield _tally_block(block, nxt, config)
-        block = nxt
-
-
-def _write_time_tags(fh, blocks: Iterator[_Block]) -> Iterator[_Block]:
-    """Pass the blocks through, writing each one's clicks to `fh` as
-    `time_ps detector provenance` lines in time order."""
-    for block in blocks:
-        parts = (
-            (block.r[block.partner == PARTNER_A], 0, 1),
-            (block.noise_a, 0, 0),
-            (block.r[block.partner == PARTNER_B], 1, 1),
-            (block.noise_b, 1, 0),
-            (block.r, 2, 1 + (block.partner == SINGLE)),
-        )
-        ps = np.round(np.concatenate([p[0] for p in parts]) * 1e12).astype(np.int64)
-        det = np.concatenate([np.full(p[0].size, p[1], dtype=np.int8) for p in parts])
-        prov = np.concatenate([np.broadcast_to(p[2], p[0].shape) for p in parts])
-        order = np.lexsort((prov, det, ps))
-        fh.writelines(
-            f"{t} {_TAG_DETECTORS[d]} {_TAG_PROVENANCE[v]}\n"
-            for t, d, v in zip(ps[order].tolist(), det[order].tolist(), prov[order].tolist())
-        )
-        yield block
-
-
-def simulate_streams(
-    config: RateConfig,
-    duration: float,
-    seed: int,
-    time_tag_path: str | None = None,
-) -> CoincidenceTally:
+def simulate_streams(config: RateConfig, duration: float, seed: int) -> CoincidenceTally:
     """Run the event-driven coincidence experiment.
 
     Every R click opens a window [t, t + tau).  Windows with one click at
@@ -378,34 +347,18 @@ def simulate_streams(
     which signals a second pair in flight -- are discarded, enforcing
     single occupancy per output.  The run is drawn and tallied block by
     block (see `_blocks`), so memory does not grow with `duration`; each
-    window belongs to the block of its R click.  Deterministic for a
-    fixed seed.
+    window belongs to the block of its R click, and the blocks' counts
+    add up to the run's.  Deterministic for a fixed seed.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration={duration} must be finite and > 0")
+    totals = np.zeros(4, dtype=np.int64)
     blocks = _blocks(config, duration, seed)
-    if time_tag_path is None:
-        return functools.reduce(merge_tallies, _block_tallies(config, blocks))
-    with open(time_tag_path, "w", encoding="utf-8") as fh:
-        fh.write("# time_ps detector provenance\n")
-        return functools.reduce(
-            merge_tallies, _block_tallies(config, _write_time_tags(fh, blocks))
-        )
-
-
-def merge_tallies(a: CoincidenceTally, b: CoincidenceTally) -> CoincidenceTally:
-    """Combine tallies from disjoint simulation shards; associative and
-    order-independent in the totals."""
-    if a.config != b.config:
-        raise ValueError("cannot merge tallies with different rates or tau")
-    return CoincidenceTally(
-        n_success=a.n_success + b.n_success,
-        n_flip=a.n_flip + b.n_flip,
-        n_loss=a.n_loss + b.n_loss,
-        n_discarded=a.n_discarded + b.n_discarded,
-        config=a.config,
-        duration=a.duration + b.duration,
-    )
+    block = next(blocks)
+    for nxt in itertools.chain(blocks, [_NO_BLOCK]):
+        totals += _tally_block(block, nxt, config.tau)
+        block = nxt
+    return CoincidenceTally(*totals.tolist(), config=config, duration=duration)
 
 
 def mix_detections(
@@ -452,12 +405,3 @@ def mix_detections(
         config=tally_ground.config,
         duration=tally_ground.duration,
     )
-
-
-def heralded_state_estimate(tally: CoincidenceTally, spec: EnvironmentSpec) -> DensityMatrix:
-    """Heralded two-qubit state predicted from the empirical channel
-    parameters of a tally, for comparing simulation against theory."""
-    if tally.n_triple == 0:
-        raise ValueError("no heralded triples in tally")
-    state, _ = conditional_state(tally.empirical_params, spec)
-    return state

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ class TestLoadRunConfig:
             assert rc.params["settings"].shots_per_setting == 2**62
         cfg = write_cfg(tmp_path, point + f"shots_per_setting = {2**62}\n")
         assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("rate_noise", ["1e10", "1e30"])
+    def test_draws_per_window_bound(self, tmp_path, rate_noise):
+        # Refused at load time, before a run could allocate its windows.
+        rates = {"rate_singlet": "1e5", "rate_singles": "0", "rate_noise": rate_noise, "tau": "1"}
+        cases = (
+            ("simulate", "".join(f"{k} = {v}\n" for k, v in rates.items()) + "duration = 1\n", ""),
+            ("pipeline", scenario(1, duration="1", **rates), "scenario1."),
+        )
+        for command, text, prefix in cases:
+            named = "/".join(prefix + key for key in RATE_KEYS)
+            with pytest.raises(ConfigError, match=f"keys {re.escape(named)}: .* per window"):
+                load_run_config(command, write_cfg(tmp_path, text), out=str(tmp_path / "x.csv"))
 
     def test_surface_defaults(self, tmp_path):
         path = write_cfg(tmp_path, "")

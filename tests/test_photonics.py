@@ -1,10 +1,10 @@
-import functools
 import math
-import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_tally
 from qcool import photonics
@@ -15,8 +15,6 @@ from qcool.photonics import (
     CoincidenceTally,
     RateConfig,
     accessible_bounds,
-    heralded_state_estimate,
-    merge_tallies,
     mix_detections,
     params_from_ratio,
     poisson_arrivals,
@@ -72,6 +70,12 @@ class TestRateConfig:
             RateConfig(1e6, 0.0, 0.0, 1e-6)
         # the warning points at the caller, not the generated __init__
         assert record[0].filename == __file__
+
+    def test_bounds_draws_per_window(self):
+        bound = photonics.MAX_WINDOW_ARRIVALS
+        RateConfig(bound / 2.0, bound / 4.0, bound / 2.0, 1.0)  # exactly at the bound
+        with pytest.raises(ValueError, match="per window"):
+            RateConfig(bound / 2.0, bound / 4.0, bound / 2.0 + 1.0, 1.0)
 
 
 class TestRateRatio:
@@ -322,15 +326,25 @@ class TestBlockStreaming:
         if drawn > 1.0 and length > cfg.tau:
             assert photonics.BLOCK_ARRIVALS / 2 < drawn * length <= photonics.BLOCK_ARRIVALS
 
-    def test_reduction_order_does_not_matter(self):
-        cfg = RateConfig(1e5, 9e5, 4e5, 1e-6)
-        tallies = list(photonics._block_tallies(cfg, photonics._blocks(cfg, 2.0, 15)))
-        assert len(tallies) == block_count(cfg, 2.0) > 8
-        whole = simulate_streams(cfg, 2.0, 15)
-        rng = random.Random(16)
-        for _ in range(5):
-            rng.shuffle(tallies)
-            assert functools.reduce(merge_tallies, tallies) == whole
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rates=st.tuples(st.floats(0.0, 2e5), st.floats(0.0, 3e5), st.floats(0.0, 1e6)),
+        tau_exp=st.floats(-8.0, -5.0),
+        duration=st.floats(1e-6, 1.0),
+        block_arrivals=st.sampled_from([0.125, 8.0, 2.0**17]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_any_run_equals_whole_run_reference(
+        self, rates, tau_exp, duration, block_arrivals, seed
+    ):
+        # Block edges land inside windows wherever the draws put them.
+        # The duration is capped at 5e4 expected draws and 300 blocks.
+        cfg = RateConfig(*rates, 10.0**tau_exp)
+        drawn = cfg.rate_singlet + cfg.rate_singles + cfg.rate_noise / 2.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(photonics, "BLOCK_ARRIVALS", block_arrivals)
+            duration = min(duration, 5e4 / max(drawn, 1.0), 300 * photonics._block_length(cfg))
+            assert simulate_streams(cfg, duration, seed) == reference_tally(cfg, duration, seed)
 
     def test_memory_does_not_grow_with_duration(self):
         cfg = fixture_config()
@@ -345,69 +359,6 @@ class TestBlockStreaming:
 
         short, long = peak_mb(1.0), peak_mb(8.0)
         assert long <= short + 1.0, (short, long)
-
-
-class TestTimeTagDump:
-    def test_dump_format_and_counts(self, tmp_path):
-        path = tmp_path / "tags.txt"
-        cfg = RateConfig(2e4, 1e4, 3e4, 1e-7)
-        simulate_streams(cfg, 0.5, seed=31, time_tag_path=str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# time_ps detector provenance"
-        dets = {"R": 0, "A": 0, "B": 0}
-        last = -1
-        for line in lines[1:]:
-            t, det, prov = line.split()
-            assert int(t) >= last
-            last = int(t)
-            dets[det] += 1
-            assert prov in ("signal", "noise", "single")
-        # every detector produced clicks at these rates
-        assert min(dets.values()) > 0
-        # R clicks come from pairs plus residual singles
-        mean_r = (cfg.rate_singlet + cfg.rate_singles) * 0.5
-        assert abs(dets["R"] - mean_r) <= 5.0 * math.sqrt(mean_r)
-
-    def test_streamed_dump_over_blocks(self, tmp_path):
-        # Three blocks: clicks stay in time order across the edges, and
-        # each detector writes one line per click of the run.
-        path = tmp_path / "tags.txt"
-        cfg = RateConfig(2e4, 1e4, 3e4, 1e-7)
-        assert block_count(cfg, 5.0) == 3
-        tally = simulate_streams(cfg, 5.0, seed=32, time_tag_path=str(path))
-        assert tally == simulate_streams(cfg, 5.0, seed=32)
-        want = {"R": 0, "A": 0, "B": 0}
-        for b in photonics._blocks(cfg, 5.0, 32):
-            want["R"] += b.r.size
-            want["A"] += int((b.partner == photonics.PARTNER_A).sum()) + b.noise_a.size
-            want["B"] += int((b.partner == photonics.PARTNER_B).sum()) + b.noise_b.size
-        with open(path, encoding="utf-8") as fh:
-            assert next(fh) == "# time_ps detector provenance\n"
-            times, dets = np.loadtxt(fh, dtype=str, usecols=(0, 1), unpack=True)
-        assert np.all(np.diff(times.astype(np.int64)) >= 0)
-        got = dict(zip(*np.unique(dets, return_counts=True)))
-        assert got == want
-
-
-class TestMergeTallies:
-    def test_merge_adds_counts_and_durations(self):
-        cfg = fixture_config()
-        a = simulate_streams(cfg, 1.0, seed=41)
-        b = simulate_streams(cfg, 1.0, seed=42)
-        m = merge_tallies(a, b)
-        assert m.n_triple == a.n_triple + b.n_triple
-        assert m.duration == 2.0
-
-    def test_merge_associative(self):
-        cfg = fixture_config()
-        a, b, c = (simulate_streams(cfg, 0.5, seed=s) for s in (51, 52, 53))
-        assert merge_tallies(merge_tallies(a, b), c) == merge_tallies(a, merge_tallies(b, c))
-
-    def test_merge_rejects_different_rates(self):
-        a = simulate_streams(fixture_config(), 0.5, seed=54)
-        b = simulate_streams(fixture_config(tau=2e-6), 0.5, seed=55)
-        with pytest.raises(ValueError):
-            merge_tallies(a, b)
 
 
 class TestMixDetections:
@@ -462,13 +413,13 @@ class TestMixDetections:
 class TestHeraldedStateEstimate:
     def test_pure_success_gives_singlet(self):
         tally = CoincidenceTally(1000, 0, 0, 0, fixture_config(), 1.0)
-        state = heralded_state_estimate(tally, EnvironmentSpec(0.2))
+        state, _ = conditional_state(tally.empirical_params, EnvironmentSpec(0.2))
         sv = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
         assert np.abs(state.data - np.outer(sv, sv)).max() <= 1e-12
 
     def test_matches_conditional_state_oracle(self):
         tally = CoincidenceTally(500, 500, 0, 0, fixture_config(), 1.0)
-        state = heralded_state_estimate(tally, EnvironmentSpec(0.0))
+        state, _ = conditional_state(tally.empirical_params, EnvironmentSpec(0.0))
         expected, weight = conditional_state(ChannelParams(0.5, 0.5, 0.0), EnvironmentSpec(0.0))
         assert np.abs(state.data - expected.data).max() <= 1e-12
         # normalization from the closed form: (1-p)(1-P_F) + P_F/2
@@ -479,13 +430,13 @@ class TestHeraldedStateEstimate:
         for n_s, n_f, n_l in ((330, 330, 340), (250, 250, 500)):
             tally = CoincidenceTally(n_s, n_f, n_l, 0, fixture_config(), 1.0)
             emp = tally.empirical_params
-            state = heralded_state_estimate(tally, spec)
+            state, _ = conditional_state(emp, spec)
             assert report(state).entangled == (emp.p_s > cond_boundary(spec.p_t * emp.p_l))
 
     def test_empty_tally_rejected(self):
         tally = CoincidenceTally(0, 0, 0, 0, fixture_config(), 1.0)
         with pytest.raises(ValueError):
-            heralded_state_estimate(tally, EnvironmentSpec(0.1))
+            conditional_state(tally.empirical_params, EnvironmentSpec(0.1))
 
 
 @pytest.mark.slow
