@@ -38,9 +38,8 @@ RATE_KEYS = ("rate_singlet", "rate_singles", "rate_noise", "tau")
 
 SURFACE_DEFAULTS = {"p_t": (0.0, 0.5, 26), "p_l": (0.0, 0.9, 19), "p_s": (0.0, 1.0, 41)}
 
-#: Largest grid `limits` and `surface` accept.  A run peaks at about 490
-#: bytes per point writing csv and 640 writing jsonl (records, sorted
-#: points and formatted lines; tracemalloc on the default 20,254-point
+#: Largest grid `limits` and `surface` accept.  A run peaks at about 300
+#: bytes per point writing csv and 470 writing jsonl (tracemalloc, default
 #: grid), so at 1 KiB a point this cap keeps a run within a 1 GiB budget.
 MAX_GRID_POINTS = 2**30 // 1024
 
@@ -243,43 +242,47 @@ def _fmt_value(v: Any) -> str:
     return str(v)
 
 
-def _json_value(v: Any) -> Any:
-    return None if isinstance(v, float) and math.isnan(v) else v
+def _json_cell(key: str, v: Any) -> str:
+    return f"{key}: {json.dumps(None if isinstance(v, float) and math.isnan(v) else v)}"
 
 
-def write_rows(path: str, fmt: str, columns: dict[str, Callable], records: list) -> None:
-    """Write one row per record; `columns` maps each column name to the
-    getter that reads its value from a record.  Every row is formatted
-    before the file is opened, so a failing getter leaves no partial file."""
-    getters = tuple(columns.values())
+def _cells(column: Any, fmt_one: Callable[[Any], str]) -> list[str]:
+    """`fmt_one` of each entry.  An array is formatted once per distinct
+    value (by bits, so -0.0 keeps its sign), each as a Python scalar."""
+    if not isinstance(column, np.ndarray):
+        return [fmt_one(v) for v in column]
+    keys = column.view(np.uint64) if column.dtype == float else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    cells = [fmt_one(v) for v in distinct.view(column.dtype).tolist()]
+    return np.array(cells, dtype=object)[inverse].tolist()
+
+
+def write_rows(path: str, fmt: str, columns: dict[str, Any]) -> None:
+    """Write the table `columns`, which maps each column name to a list or
+    1-D array with one entry per row.  Every row is formatted before the
+    file is opened, so a failing formatter leaves no partial file."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join([_fmt_value(get(rec)) for get in getters]) for rec in records]
+        cells = [_cells(col, _fmt_value) for col in columns.values()]
+        lines = [",".join(columns), *map(",".join, zip(*cells))]
     else:
-        lines = [
-            json.dumps({c: _json_value(get(rec)) for c, get in columns.items()})
-            for rec in records
-        ]
+        cells = [_cells(col, partial(_json_cell, json.dumps(c))) for c, col in columns.items()]
+        lines = ["{" + ", ".join(row) + "}" for row in zip(*cells)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
 
 
-LIMITS_COLUMNS = {
-    "p_T": _get("p_t"),
-    "P_S": _get("p_s"),
-    "P_L": _get("p_l"),
-    "P_TL": _get("p_tl"),
-    "uncond_boundary": _get("verdicts.uncond_boundary_ps"),
-    "cond_boundary": _get("verdicts.cond_boundary_ps"),
-    "uncond_ok": _get("verdicts.unconditional_ok"),
-    "cond_ok": _get("verdicts.conditional_ok"),
-    "numeric_negativity": _get("numeric_negativity"),
-    "feasible": _get("feasible"),
-}
+def _columns(getters: dict[str, Callable], records: list) -> dict[str, list]:
+    """The table of `getters` read from each record, as columns."""
+    return {name: [get(rec) for rec in records] for name, get in getters.items()}
+
+
+#: The name of each `limits.SweepTable` column, in its order.
+LIMITS_COLUMNS = ("p_T", "P_S", "P_L", "P_TL", "uncond_boundary", "cond_boundary",
+                  "uncond_ok", "cond_ok", "numeric_negativity", "feasible")
 
 
 def run_limits(rc: RunConfig) -> int:
-    write_rows(rc.out, rc.fmt, LIMITS_COLUMNS, limits.sweep(rc.params["grid"]))
+    write_rows(rc.out, rc.fmt, dict(zip(LIMITS_COLUMNS, limits.sweep(rc.params["grid"]))))
     return EXIT_OK
 
 
@@ -320,7 +323,7 @@ SIMULATE_COLUMNS = {
 
 def run_simulate(rc: RunConfig) -> int:
     tally = photonics.simulate_streams(rc.params["rate_config"], rc.params["duration"], rc.seed)
-    write_rows(rc.out, rc.fmt, SIMULATE_COLUMNS, [tally])
+    write_rows(rc.out, rc.fmt, _columns(SIMULATE_COLUMNS, [tally]))
     return EXIT_OK
 
 
@@ -364,7 +367,7 @@ def run_tomo(rc: RunConfig) -> int:
         rc.params["params"], rc.params["spec"], settings, fidelity(truth, recon),
         entanglement.report(truth), entanglement.report(recon),
     )
-    write_rows(rc.out, rc.fmt, TOMO_COLUMNS, [record])
+    write_rows(rc.out, rc.fmt, _columns(TOMO_COLUMNS, [record]))
     return EXIT_OK
 
 
@@ -430,7 +433,7 @@ def run_pipeline(rc: RunConfig) -> int:
         )
         recon = entanglement.report(tomography.reconstruct(counts))
         records.append(PipelineRecord(idx, config, spec, duration, mixed, recon))
-    write_rows(rc.out, rc.fmt, PIPELINE_COLUMNS, records)
+    write_rows(rc.out, rc.fmt, _columns(PIPELINE_COLUMNS, records))
     return EXIT_OK
 
 

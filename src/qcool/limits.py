@@ -6,14 +6,14 @@ and the conditional (heralded) one, a function of the joint error
 P_TL = p_T * P_L alone.  `critical_ps_numeric` locates the same
 boundaries independently by bisection on the minimum partial-transpose
 eigenvalue of the explicitly constructed states, and `sweep` evaluates
-grids of (p_T, P_L, P_S) points into flat records.
+grids of (p_T, P_L, P_S) points into one table of columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -38,11 +38,11 @@ BISECTION_TOL = 1e-8
 #: per call.
 BISECTION_STACK = 16
 
-#: Grid points `sweep` evaluates per stacked call.  Evaluating a chunk
-#: allocates about 700 bytes of stacked temporaries per feasible point on
-#: top of its records (tracemalloc, 2048 feasible points), so the
-#: temporaries stay near 1.4 MB whatever the grid size.  On the default
-#: `surface` grid, chunks of 256 to 32768 points ran equally fast.
+#: Grid points `sweep` evaluates per stacked call.  The build, check and
+#: spectrum of a chunk's feasible points allocate about 920 bytes per point
+#: (tracemalloc, 2048 feasible points), so they stay near 1.9 MB whatever
+#: the grid size.  On the default `surface` grid, chunks of 256 to 32768
+#: points ran within 15% of each other.
 SWEEP_CHUNK = 2048
 
 
@@ -60,7 +60,7 @@ class LimitVerdict:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One evaluated grid point; the row type of the sweep data files."""
+    """One evaluated grid point."""
 
     p_t: float
     p_s: float
@@ -71,13 +71,33 @@ class SweepRecord:
     feasible: bool
 
 
+class SweepTable(NamedTuple):
+    """Evaluated grid points as 1-D columns, a row per point."""
+
+    p_t: np.ndarray
+    p_s: np.ndarray
+    p_l: np.ndarray
+    p_tl: np.ndarray
+    uncond_boundary_ps: np.ndarray
+    cond_boundary_ps: np.ndarray
+    unconditional_ok: np.ndarray
+    conditional_ok: np.ndarray
+    numeric_negativity: np.ndarray
+    feasible: np.ndarray
+
+
+def _uncond(p_t):
+    """`uncond_boundary` of a float or, elementwise, of an array."""
+    q = np.sqrt(p_t * (1.0 - p_t))
+    return q / (1.0 + q)
+
+
 def uncond_boundary(p_t: float) -> float:
     """Critical P_S without heralding; the channel is quantum iff P_S
     strictly exceeds it.  Equals sqrt(p(1-p)) / (1 + sqrt(p(1-p)))."""
     if not 0.0 <= p_t <= 0.5:
         raise ValueError(f"p_t={p_t} outside [0, 1/2]")
-    q = math.sqrt(p_t * (1.0 - p_t))
-    return q / (1.0 + q)
+    return float(_uncond(p_t))
 
 
 def uncond_approx_ok(p_s: float, p_t: float) -> bool:
@@ -86,6 +106,11 @@ def uncond_approx_ok(p_s: float, p_t: float) -> bool:
     _check_unit("p_s", p_s)
     _check_unit("p_t", p_t)
     return p_t < p_s * p_s * (1.0 - 1e-12)
+
+
+def _cond(p_tl):
+    """`cond_boundary` of a float or, elementwise, of an array."""
+    return (np.sqrt(p_tl * (4.0 - 3.0 * p_tl)) - p_tl) / 2.0
 
 
 def cond_boundary(p_tl: float) -> float:
@@ -97,7 +122,7 @@ def cond_boundary(p_tl: float) -> float:
     Zero at P_TL = 0 and at most 1/3 (attained at P_TL = 1/3)."""
     if not 0.0 <= p_tl <= 1.0:
         raise ValueError(f"p_tl={p_tl} outside [0, 1]")
-    return (math.sqrt(p_tl * (4.0 - 3.0 * p_tl)) - p_tl) / 2.0
+    return float(_cond(p_tl))
 
 
 def cond_approx_ok(p_s: float, p_t: float, p_l: float) -> bool:
@@ -288,65 +313,37 @@ class GridSpec:
 
         return GridSpec(axis(*p_t), axis(*p_l), axis(*p_s))
 
-    def points(self) -> list[tuple[float, float, float]]:
-        """Grid points sorted lexicographically by (P_L, p_T, P_S)."""
-        pts = [
-            (p_l, p_t, p_s)
-            for p_l in self.p_l_values
-            for p_t in self.p_t_values
-            for p_s in self.p_s_values
-        ]
-        pts.sort()
-        return [(p_t, p_l, p_s) for (p_l, p_t, p_s) in pts]
+
+def evaluate_point(p_t: float, p_l: float, p_s: float) -> SweepRecord:
+    """The row of a one-point `sweep` as a record of Python floats and
+    bools.  Out-of-range or NaN coordinates raise ValueError, as they do
+    on a `GridSpec` axis."""
+    table = sweep(GridSpec((p_t,), (p_l,), (p_s,)))
+    p_t, p_s, p_l, p_tl, ub, cb, u_ok, c_ok, neg, ok = (col.item() for col in table)
+    return SweepRecord(p_t, p_s, p_l, p_tl, LimitVerdict(u_ok, c_ok, ub, cb), neg, ok)
 
 
-def _evaluate(points: list[tuple[float, float, float]]) -> list[SweepRecord]:
-    """Evaluate (p_T, P_L, P_S) points: closed-form verdicts per point, the
-    heralded states of the feasible ones as one validated stack and their
-    negativities from one stacked PT spectrum."""
-    bounds = [(uncond_boundary(p_t), cond_boundary(p_t * p_l)) for p_t, p_l, _ in points]
-    p_t, p_l, p_s = np.array(points, dtype=float).reshape(-1, 3).T
+def sweep(grid: GridSpec) -> SweepTable:
+    """Evaluate every grid point: the closed-form boundaries and verdicts
+    as array expressions, and the heralded state's negativity, NaN where
+    P_S + P_L > 1 beyond the 1e-12 closure tolerance; each `SWEEP_CHUNK`
+    points' feasible ones are one validated stack and PT spectrum.  Rows
+    are in (P_L, p_T, P_S) order by a stable sort, so points that compare
+    equal (a repeated axis value, -0.0 beside 0.0) keep their product order."""
+    axes = (grid.p_l_values, grid.p_t_values, grid.p_s_values)
+    l, t, s = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    order = np.lexsort((s, t, l))
+    p_t, p_l, p_s = t[order], l[order], s[order]
+    p_tl = p_t * p_l
+    ub, cb = _uncond(p_t), _cond(p_tl)
     # Feasible means the closure passes `ChannelParams`'s check, so
     # P_S + P_L may exceed 1 by at most 1e-12 after rounding.
     feasible = _closure(p_s, p_l)[1]
-    f_s, f_l = p_s[feasible], p_l[feasible]
-    states, _ = conditional_states(f_s, _flip_probability(f_s, f_l), f_l, p_t[feasible])
-    check_states(states)
-    negativities = iter(spectrum_negativity(pt_spectrum(states)).tolist())
-    return [
-        SweepRecord(
-            p_t=p_t,
-            p_s=p_s,
-            p_l=p_l,
-            p_tl=p_t * p_l,
-            verdicts=LimitVerdict(
-                unconditional_ok=p_s > ub,
-                conditional_ok=p_s > cb,
-                uncond_boundary_ps=ub,
-                cond_boundary_ps=cb,
-            ),
-            numeric_negativity=next(negativities) if ok else math.nan,
-            feasible=ok,
-        )
-        for (p_t, p_l, p_s), (ub, cb), ok in zip(points, bounds, feasible.tolist())
-    ]
-
-
-def evaluate_point(p_t: float, p_l: float, p_s: float) -> SweepRecord:
-    """Evaluate closed-form verdicts and the numeric negativity of the
-    heralded state at one grid point.  Infeasible points (P_S + P_L > 1
-    beyond the 1e-12 closure tolerance) are flagged and carry NaN
-    negativity.  Out-of-range or NaN coordinates raise ValueError, as
-    they do on a `GridSpec` axis."""
-    return _evaluate(GridSpec((p_t,), (p_l,), (p_s,)).points())[0]
-
-
-def sweep(grid: GridSpec) -> list[SweepRecord]:
-    """Evaluate every grid point, in the (P_L, p_T, P_S) order of
-    `GridSpec.points`, `SWEEP_CHUNK` points per stacked evaluation."""
-    points = grid.points()
-    return [
-        record
-        for start in range(0, len(points), SWEEP_CHUNK)
-        for record in _evaluate(points[start:start + SWEEP_CHUNK])
-    ]
+    negativity = np.full(p_s.shape, math.nan)
+    for start in range(0, p_s.size, SWEEP_CHUNK):
+        at = start + np.flatnonzero(feasible[start:start + SWEEP_CHUNK])
+        f_s, f_l = p_s[at], p_l[at]
+        states, _ = conditional_states(f_s, _flip_probability(f_s, f_l), f_l, p_t[at])
+        check_states(states)
+        negativity[at] = spectrum_negativity(pt_spectrum(states))
+    return SweepTable(p_t, p_s, p_l, p_tl, ub, cb, p_s > ub, p_s > cb, negativity, feasible)

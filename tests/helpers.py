@@ -7,7 +7,13 @@ package code so they can serve as oracles.
 import numpy as np
 
 from qcool.channel import ChannelParams, project_b
-from qcool.limits import LimitVerdict, SweepRecord, cond_boundary, uncond_boundary
+from qcool.limits import (
+    LimitVerdict,
+    SweepRecord,
+    SweepTable,
+    cond_boundary,
+    uncond_boundary,
+)
 from qcool.photonics import PARTNER_A, PARTNER_B, CoincidenceTally, _blocks
 from qcool.qmat import DensityMatrix
 from qcool.tomography import PROJECTORS, CountTable
@@ -198,6 +204,26 @@ def reference_sweep_record(p_t, p_l, p_s) -> SweepRecord:
     return SweepRecord(
         p_t, p_s, p_l, p_t * p_l, LimitVerdict(p_s > ub, p_s > cb, ub, cb), neg, feasible
     )
+
+
+def record_row(rec: SweepRecord) -> tuple:
+    """A record's values in the column order of `SweepTable`."""
+    v = rec.verdicts
+    return (
+        rec.p_t, rec.p_s, rec.p_l, rec.p_tl, v.uncond_boundary_ps, v.cond_boundary_ps,
+        v.unconditional_ok, v.conditional_ok, rec.numeric_negativity, rec.feasible,
+    )
+
+
+def table_rows(table: SweepTable) -> list[tuple]:
+    """A table's rows as tuples of Python floats and bools."""
+    return list(zip(*(col.tolist() for col in table)))
+
+
+def reference_sweep_table(points) -> SweepTable:
+    """`reference_sweep_record` of each (p_T, P_L, P_S) point, as a table."""
+    rows = [record_row(reference_sweep_record(*point)) for point in points]
+    return SweepTable(*(np.array(col) for col in zip(*rows)))
 
 
 # Reference tomography stages: one trace per projector, and the linear

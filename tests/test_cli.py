@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -23,9 +24,9 @@ from qcool.cli import (
     serialize_config,
     write_rows,
 )
-from qcool.limits import SWEEP_CHUNK
+from qcool.limits import SWEEP_CHUNK, GridSpec, cond_boundary, sweep, uncond_boundary
 
-from helpers import reference_sweep_record
+from helpers import reference_sweep_table
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -54,6 +55,28 @@ VALUES = NUMBERS | st.tuples(NUMBERS, NUMBERS, NUMBERS).map(":".join)
 #: Any three probabilities in [0, 1/2] form a valid channel point.
 PROBS = st.floats(0.0, 0.5).map(repr)
 NO_HEALTH = dict(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+
+#: `limits`/`surface` runs whose output bytes are pinned: the default
+#: surface grid, unsorted axes with a repeated P_L value, the closure-edge
+#: point, and -0.0 beside 0.0.
+SWEEP_CONFIGS = {
+    "surface": ("surface", ""),
+    "repeated": ("limits", "p_t = 0.3:0.1:2\np_l = 0:0:2\np_s = 0.9:0.2:3\n"),
+    "closure_edge": ("limits", "p_t = 0.2\np_l = 0.5\np_s = 0.500000000001\n"),
+    "signed_zero": ("limits", "p_t = 0:-0.0:2\np_l = -0.0:0:2\np_s = 0.5:-0.0:3\n"),
+}
+#: SHA-256 of each run's file, recorded from the row-major writer with
+#: per-point records, so any change in the formatted bytes shows.
+SWEEP_DIGESTS = {
+    ("surface", "csv"): "009a5f818475f5684afcf1ebb8f667c0fa7333abe02e9000d0515fe790e8e582",
+    ("surface", "jsonl"): "383bc84799dea298e2416ed4d751a2bc5fbb29f3722b87c49973c441af0604ce",
+    ("repeated", "csv"): "8fd3f4219a3552cfffb66f9d8587380818bbf2e7e10ccb6fa6995fc214f83d51",
+    ("repeated", "jsonl"): "da906a4793830ad903363fa3b5ce2e442ba3a7a5c37948f20285fd1ebc6c2254",
+    ("closure_edge", "csv"): "8bcd8258760bf1a7541feb484f0644bbae15c8476a10a4ec766b264015852e7e",
+    ("closure_edge", "jsonl"): "5bfe9f1b7705cfcf88cd6c67c9e42bab39583c330dda2f0578a571650e1d6610",
+    ("signed_zero", "csv"): "4686899177dcc1adf71bf7f911a58fcae5cea2fdc74da293ac2097c6a150737d",
+    ("signed_zero", "jsonl"): "b7eec294d8bd2c19b1ebbb261fc03012c4d9de8939bddb0489d5d3db334f8800",
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -239,11 +262,55 @@ class TestLimitsCommand:
         points = sorted(itertools.product(p_l, p_t, p_s))
         # several full chunks, a partial last one, and infeasible points
         assert len(points) > 3 * SWEEP_CHUNK and len(points) % SWEEP_CHUNK
-        records = [reference_sweep_record(t, l, s) for l, t, s in points]
-        assert not all(r.feasible for r in records)
+        table = reference_sweep_table([(t, l, s) for l, t, s in points])
+        assert not table.feasible.all()
         want = tmp_path / f"reference.{fmt}"
-        write_rows(str(want), fmt, LIMITS_COLUMNS, records)
+        write_rows(str(want), fmt, dict(zip(LIMITS_COLUMNS, table)))
         assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("key", SWEEP_DIGESTS, ids="-".join)
+    def test_output_bytes_pinned(self, tmp_path, key):
+        (command, text), fmt = SWEEP_CONFIGS[key[0]], key[1]
+        out = tmp_path / f"out.{fmt}"
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[key]
+
+    def test_repeated_axis_value_interleaves_inner_axes(self, tmp_path):
+        cfg = write_cfg(tmp_path, "p_t = 0.3:0.1:2\np_l = 0:0:2\np_s = 0.5\n")
+        out = tmp_path / "lim.csv"
+        assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [
+            "0.1", "0.1", "0.3", "0.3",
+        ]
+
+    @settings(max_examples=25, **NO_HEALTH)
+    @given(
+        st.lists(st.floats(-0.0, 0.5), min_size=1, max_size=3),
+        st.lists(st.floats(-0.0, 1.0), min_size=1, max_size=3),
+        st.lists(st.floats(-0.0, 1.0), min_size=1, max_size=3),
+    )
+    def test_columns_equal_scalar_forms_and_write_bools(self, tmp_path, p_t, p_l, p_s):
+        table = sweep(GridSpec(p_t, p_l, p_s))
+        t, l, s = table.p_t.tolist(), table.p_l.tolist(), table.p_s.tolist()
+        ub, cb = table.uncond_boundary_ps.tolist(), table.cond_boundary_ps.tolist()
+        assert ub == [uncond_boundary(x) for x in t]
+        assert cb == [cond_boundary(x * y) for x, y in zip(t, l)]
+        assert table.unconditional_ok.tolist() == [x > y for x, y in zip(s, ub)]
+        assert table.conditional_ok.tolist() == [x > y for x, y in zip(s, cb)]
+        columns = dict(zip(LIMITS_COLUMNS, table))
+        flags = ("uncond_ok", "cond_ok", "feasible")
+        write_rows(str(tmp_path / "t.csv"), "csv", columns)
+        header, *lines = (tmp_path / "t.csv").read_text().splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            assert {row[c] for c in flags} <= {"true", "false"}
+        write_rows(str(tmp_path / "t.jsonl"), "jsonl", columns)
+        rows = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert len(rows) == len(lines) == len(t)
+        for row, u_ok, c_ok in zip(rows, table.unconditional_ok, table.conditional_ok):
+            assert all(type(row[c]) is bool for c in flags)
+            assert (row["uncond_ok"], row["cond_ok"]) == (u_ok, c_ok)
 
     def test_closure_edge_point_flagged_infeasible(self, tmp_path):
         cfg = write_cfg(tmp_path, "p_t = 0.2\np_l = 0.5\np_s = 0.500000000001\n")

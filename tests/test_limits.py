@@ -21,7 +21,7 @@ from qcool.limits import (
     uncond_boundary,
 )
 
-from helpers import reference_critical_ps
+from helpers import record_row, reference_critical_ps, table_rows
 
 
 class TestUncondBoundary:
@@ -276,7 +276,8 @@ class TestGridSpec:
 
     def test_empty_axis_gives_empty_grid(self):
         grid = GridSpec.from_ranges((0.0, 0.5, 0), (0.0, 0.5, 2), (0.0, 1.0, 2))
-        assert grid.points() == []
+        assert grid.p_t_values == ()
+        assert all(col.shape == (0,) for col in sweep(grid))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -285,37 +286,37 @@ class TestGridSpec:
 
 class TestSweep:
     def test_empty_grid(self):
-        grid = GridSpec((), (), ())
-        assert sweep(grid) == []
+        table = sweep(GridSpec((), (), ()))
+        assert len(table.feasible) == 0
+        assert [col.dtype for col in table] == [float] * 6 + [bool] * 2 + [float, bool]
 
     def test_singleton_hot_point(self):
         grid = GridSpec((0.5,), (0.0,), (0.4,))
-        records = sweep(grid)
-        assert len(records) == 1
-        assert records[0].verdicts.unconditional_ok
-        assert records[0].feasible
+        table = sweep(grid)
+        assert all(col.shape == (1,) for col in table)
+        assert table.unconditional_ok[0]
+        assert table.feasible[0]
 
     def test_singleton_conditional_only_point(self):
         p_s = cond_boundary(0.06) + 0.01
         grid = GridSpec((0.3,), (0.2,), (p_s,))
-        rec = sweep(grid)[0]
-        assert rec.verdicts.conditional_ok
-        assert rec.verdicts.unconditional_ok == (p_s > uncond_boundary(0.3))
-        assert not rec.verdicts.unconditional_ok
+        table = sweep(grid)
+        assert table.conditional_ok[0]
+        assert table.unconditional_ok[0] == (p_s > uncond_boundary(0.3))
+        assert not table.unconditional_ok[0]
 
     def test_ordering_lexicographic(self):
-        grid = GridSpec((0.4, 0.1), (0.3, 0.0), (0.9, 0.2))
-        keys = [(r.p_l, r.p_t, r.p_s) for r in sweep(grid)]
+        table = sweep(GridSpec((0.4, 0.1), (0.3, 0.0), (0.9, 0.2)))
+        keys = list(zip(table.p_l.tolist(), table.p_t.tolist(), table.p_s.tolist()))
         assert keys == sorted(keys)
 
     def test_infeasible_points_flagged_not_dropped(self):
         grid = GridSpec((0.2,), (0.8,), (0.1, 0.5))
-        records = sweep(grid)
-        assert len(records) == 2
-        feasible = {r.p_s: r.feasible for r in records}
-        assert feasible[0.1] and not feasible[0.5]
-        bad = [r for r in records if not r.feasible][0]
-        assert math.isnan(bad.numeric_negativity)
+        table = sweep(grid)
+        assert table.p_s.tolist() == [0.1, 0.5]
+        assert table.feasible.tolist() == [True, False]
+        assert math.isfinite(table.numeric_negativity[0])
+        assert math.isnan(table.numeric_negativity[1])
 
     @pytest.mark.parametrize("p_t, p_l, p_s", [(0.2, 0.5, 0.500000000001), (0.0, 1.0, 1e-12)])
     def test_closure_edge_is_infeasible(self, p_t, p_l, p_s):
@@ -340,17 +341,26 @@ class TestSweep:
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     )
     @example(p_t=[0.0], p_l=[1.0], p_s=[1e-12])
+    # A repeated value interleaves the inner axes: p_T 0.1, 0.1, 0.3, 0.3.
+    @example(p_t=[0.3, 0.1], p_l=[0.0, 0.0], p_s=[0.5])
+    # -0.0 and 0.0 compare equal, so they keep their order in the product.
+    @example(p_t=[0.0, -0.0], p_l=[-0.0, 0.2, 0.0], p_s=[0.4, -0.0, 0.0])
     def test_unsorted_axes_evaluated_in_lexicographic_order(self, p_t, p_l, p_s):
         expected = [
-            evaluate_point(t, l, s) for l, t, s in sorted(itertools.product(p_l, p_t, p_s))
+            record_row(evaluate_point(t, l, s))
+            for l, t, s in sorted(itertools.product(p_l, p_t, p_s))
         ]
-        # repr compares NaN fields of infeasible records as equal text
-        assert repr(sweep(GridSpec(p_t, p_l, p_s))) == repr(expected)
+        # repr tells -0.0 from 0.0 and compares NaN negativities as equal text
+        assert repr(table_rows(sweep(GridSpec(p_t, p_l, p_s)))) == repr(expected)
 
     def test_record_fields(self):
+        table = sweep(GridSpec((0.25,), (0.4,), (0.35,)))
+        assert table.p_tl.tolist() == [0.25 * 0.4]
+        assert table.feasible.tolist() == [True]
         rec = evaluate_point(0.25, 0.4, 0.35)
-        assert rec.p_tl == 0.25 * 0.4
-        assert rec.feasible
+        assert record_row(rec) == table_rows(table)[0]
+        assert type(rec.p_tl) is float and type(rec.feasible) is bool
+        assert type(rec.verdicts.conditional_ok) is bool
 
     def test_negativity_consistent_with_verdict(self):
         rng = np.random.default_rng(42)
